@@ -13,9 +13,9 @@ from .errors import AnalysisError, ConfigError, SimulationError
 from .physics import (DerivedQuantities, ExperimentConfig, GeometryMode, Grids,
                       build_grids, derive, kernel, kernel_prefactor)
 from .propagation import (AmplitudeField, IntensityProfile, accumulate, intensity,
-                          simulate, simulate_all)
+                          simulate, simulate_all, slit_sums)
 from .qubit import (QubitBehavior, TransitionMask, build_mask, interference_possible,
-                    is_allowed, render_mask, screen_state_weights)
+                    is_allowed, render_mask, screen_state, screen_state_weights)
 from .reporting import (profile_svg, read_config_file, read_profile_csv,
                         write_mask_file, write_profile_csv, write_profile_svg,
                         write_report)
@@ -54,9 +54,11 @@ __all__ = [
     "read_config_file",
     "read_profile_csv",
     "render_mask",
+    "screen_state",
     "screen_state_weights",
     "simulate",
     "simulate_all",
+    "slit_sums",
     "total_probability",
     "validate",
     "write_mask_file",

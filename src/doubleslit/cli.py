@@ -16,8 +16,8 @@ from typing import Optional
 
 from .analysis import DEFAULT_PEAK_PROMINENCE, validate
 from .errors import AnalysisError, ConfigError, SimulationError
-from .physics import ExperimentConfig, GeometryMode, build_grids, derive
-from .propagation import accumulate, intensity
+from .physics import ExperimentConfig, GeometryMode
+from .propagation import simulate_all
 from .qubit import QubitBehavior, build_mask
 from .reporting import (read_config_file, write_mask_file, write_profile_csv,
                         write_profile_svg, write_report)
@@ -77,8 +77,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="flat key=value config file (keys: lambda, m, h, a, d, "
                              "L, N, Zmin, Zmax); flags override file values")
     parser.add_argument("--threads", type=int, default=1, metavar="T",
-                        help="worker threads for the propagation loop; the output "
-                             "is bitwise independent of T (default: 1)")
+                        help="worker threads for the propagation loop, at most CPUs "
+                             "and N; the output is bitwise independent of T (default: 1)")
     return parser
 
 
@@ -135,15 +135,9 @@ def _per_behavior_path(path: Path, behavior: QubitBehavior, multiple: bool) -> P
 def run(request: RunRequest) -> int:
     """Execute a RunRequest; returns the process exit code."""
     try:
-        derived = derive(request.config)
-        grids = build_grids(request.config, derived)
+        profiles = simulate_all(request.config, threads=request.threads,
+                                behaviors=request.behaviors)
         multiple = len(request.behaviors) > 1
-
-        profiles = {}
-        for behavior in request.behaviors:
-            field_ = accumulate(request.config, derived, grids, behavior,
-                                threads=request.threads)
-            profiles[behavior] = intensity(field_)
 
         for behavior, profile in profiles.items():
             if request.csv_path is not None:

@@ -1,26 +1,18 @@
-"""Amplitude accumulation at the screen and the standalone intensity.
+"""Slit sums at the screen, their routing by qubit behavior, and the intensity.
 
-For every screen position x_i and screen qubit state e, the marginal
-amplitudes from each slit are
-
-    psi_lower[i, e] = sum over i' in the lower slit, e' in {1, 2} of
-                      [allowed] * K(x_i, x'_i') * slit_amplitude,
-
-and analogously for the upper slit, with the sums running in ascending
-(i', then e') order.  The standalone probability density is then
-
-    p_i = |psi_upper[i,1] + psi_lower[i,1]|^2 + |psi_upper[i,2] + psi_lower[i,2]|^2.
-
-This is the O(N^2) hot loop.  It is vectorized per screen row: the inner
-sum over slit positions uses a running (cumulative) sum along the slit
-axis, i.e. plain left-to-right accumulation in the fixed ascending order.
-Rows are independent, so work may be chunked across threads; each (i, e)
-cell is written by exactly one task and the result is bitwise identical
-for any thread count.
+The kernel ignores the qubit, so :func:`slit_sums` computes once per config
+S_lower(x_i) and S_upper(x_i): the sum over each slit of K(x_i, x') *
+slit_amplitude, accumulated left to right in ascending x'.  A qubit behavior
+only routes each whole sum into one screen qubit state e
+(:func:`doubleslit.qubit.screen_state`).  Sums routed to the same e add
+coherently; the two states' probabilities add.  This O(N^2) pass runs row by
+row, each screen row written by exactly one task, so the result is bitwise
+identical for any thread count.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -28,7 +20,7 @@ import numpy as np
 
 from .errors import SimulationError
 from .physics import DerivedQuantities, ExperimentConfig, Grids, build_grids, derive, kernel
-from .qubit import QubitBehavior, screen_state_weights
+from .qubit import QubitBehavior, screen_state
 
 __all__ = [
     "AmplitudeField",
@@ -37,6 +29,7 @@ __all__ = [
     "intensity",
     "simulate",
     "simulate_all",
+    "slit_sums",
 ]
 
 
@@ -65,9 +58,9 @@ class IntensityProfile:
     config: ExperimentConfig
 
 
-def _slit_sums(screen_block: np.ndarray, slit_half: np.ndarray, weights_half: np.ndarray,
-               config: ExperimentConfig, derived: DerivedQuantities) -> np.ndarray:
-    """(rows, 2) amplitudes from one slit for a block of screen positions.
+def _row_sums(screen_block: np.ndarray, slit_half: np.ndarray,
+              config: ExperimentConfig, derived: DerivedQuantities) -> np.ndarray:
+    """Sums from one slit for a block of screen positions.
 
     Each screen row is evaluated as its own fixed-shape 1D operation.  This
     is what makes the result independent of how rows are grouped into
@@ -75,61 +68,55 @@ def _slit_sums(screen_block: np.ndarray, slit_half: np.ndarray, weights_half: np
     positions, so a 2D evaluation would let the block shape leak into the
     last bits.
     """
-    out = np.empty((screen_block.size, 2), dtype=np.complex128)
+    out = np.empty(screen_block.size, dtype=np.complex128)
     for r, x in enumerate(screen_block):
-        terms = kernel(x, slit_half, config, derived) * derived.slit_amplitude
-        for e_idx in range(2):
-            # weights are 0.0/1.0 per slit position; multiplying by 1.0 keeps
-            # bits, so NONE and FORGETS (identical weights) yield bitwise-equal
-            # sums.  cumsum is the plain left-to-right accumulation in
-            # ascending slit order.
-            masked = terms * weights_half[:, e_idx]
-            out[r, e_idx] = masked.cumsum()[-1]
+        out[r] = (kernel(x, slit_half, config, derived) * derived.slit_amplitude).cumsum()[-1]
     return out
 
 
-def accumulate(config: ExperimentConfig, derived: DerivedQuantities, grids: Grids,
-               behavior: QubitBehavior, *, threads: int = 1) -> AmplitudeField:
-    """Accumulate marginal slit amplitudes at the screen under a qubit behavior.
+def slit_sums(config: ExperimentConfig, derived: DerivedQuantities, grids: Grids,
+              *, threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """(S_lower, S_upper): each slit's summed amplitude at every screen position.
 
-    ``threads`` distributes screen rows over a thread pool; the profile is
-    bitwise independent of the thread count because every row is computed
-    by exactly one task with a fixed inner summation order.
+    ``threads`` spreads screen rows over one pool of at most
+    min(threads, CPUs, N) workers; the sums do not depend on it.
     """
     n = config.n_positions
     if grids.screen_positions.size != n or grids.slit_positions.size != n:
         raise ValueError("grids do not match config.n_positions")
-    half = n // 2
-    weights = screen_state_weights(behavior, n)
-    screen = grids.screen_positions
-    halves = ((grids.lower_slit, weights[:half]), (grids.upper_slit, weights[half:]))
+    halves = (grids.lower_slit, grids.upper_slit)
+    workers = min(threads, os.cpu_count() or 1, n)
+    if workers <= 1:
+        return tuple(_row_sums(grids.screen_positions, h, config, derived) for h in halves)
+    blocks = np.array_split(grids.screen_positions, workers)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [[pool.submit(_row_sums, block, h, config, derived) for block in blocks]
+                   for h in halves]
+        return tuple(np.concatenate([f.result() for f in fs]) for fs in futures)
 
-    results = []
-    for slit_half, weights_half in halves:
-        if threads <= 1:
-            block = _slit_sums(screen, slit_half, weights_half, config, derived)
-        else:
-            row_blocks = np.array_split(np.arange(n), threads)
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                futures = [
-                    pool.submit(_slit_sums, screen[rows], slit_half, weights_half,
-                                config, derived)
-                    for rows in row_blocks if rows.size
-                ]
-                block = np.concatenate([f.result() for f in futures], axis=0)
-        results.append(block)
-    lower, upper = results
 
-    for name, arr in (("lower", lower), ("upper", upper)):
-        bad = ~np.isfinite(arr)
-        if bad.any():
-            i, e = np.argwhere(bad)[0]
+def _routed_field(sums: tuple[np.ndarray, np.ndarray], behavior: QubitBehavior,
+                  grids: Grids, config: ExperimentConfig) -> AmplitudeField:
+    """Each slit's sum in the column of the screen state ``behavior`` routes it to."""
+    fields = []
+    for half, total in zip(("lower", "upper"), sums):
+        e = screen_state(behavior, half)
+        bad = np.flatnonzero(~np.isfinite(total))
+        if bad.size:
             raise SimulationError(
-                f"non-finite {name}-slit amplitude at screen index {i + 1}, qubit state {e + 1}"
-            )
+                f"non-finite {half}-slit amplitude at screen index {bad[0] + 1}, qubit state {e}")
+        fields.append(np.zeros((total.size, 2), dtype=np.complex128))
+        fields[-1][:, e - 1] = total
+    return AmplitudeField(*fields, behavior=behavior, positions=grids.screen_positions,
+                          config=config)
 
-    return AmplitudeField(lower=lower, upper=upper, behavior=behavior,
-                          positions=screen, config=config)
+
+def accumulate(config: ExperimentConfig, derived: DerivedQuantities, grids: Grids,
+               behavior: QubitBehavior, *, threads: int = 1) -> AmplitudeField:
+    """Marginal slit amplitudes at the screen under a qubit behavior:
+    :func:`slit_sums`, each routed into one screen qubit state."""
+    sums = slit_sums(config, derived, grids, threads=threads)
+    return _routed_field(sums, behavior, grids, config)
 
 
 def intensity(field: AmplitudeField) -> IntensityProfile:
@@ -151,19 +138,15 @@ def intensity(field: AmplitudeField) -> IntensityProfile:
 
 def simulate(config: ExperimentConfig, behavior: QubitBehavior, *,
              threads: int = 1) -> IntensityProfile:
-    """Full pipeline for one behavior: derive -> grids -> accumulate -> intensity."""
-    derived = derive(config)
-    grids = build_grids(config, derived)
-    return intensity(accumulate(config, derived, grids, behavior, threads=threads))
+    """Full pipeline for one behavior: derive -> grids -> slit sums -> intensity."""
+    return simulate_all(config, threads=threads, behaviors=(behavior,))[behavior]
 
 
 def simulate_all(config: ExperimentConfig, *, threads: int = 1,
                  behaviors: tuple[QubitBehavior, ...] = tuple(QubitBehavior),
                  ) -> dict[QubitBehavior, IntensityProfile]:
-    """Run the pipeline for several behaviors, sharing grids and derived values."""
+    """Run the pipeline for several behaviors from one shared pass of slit sums."""
     derived = derive(config)
     grids = build_grids(config, derived)
-    return {
-        b: intensity(accumulate(config, derived, grids, b, threads=threads))
-        for b in behaviors
-    }
+    sums = slit_sums(config, derived, grids, threads=threads)
+    return {b: intensity(_routed_field(sums, b, grids, config)) for b in behaviors}

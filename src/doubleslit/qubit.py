@@ -12,9 +12,9 @@ allowed between the wall (primed indices) and the screen:
 * FORGETS   - the qubit records the entry slit but relaxes back to its
               default before detection: e' matches the slit and e = 1.
 
-Transition probabilities for the qubit itself are all 0 or 1, so
-admissibility is a pure predicate; disallowed composite transitions carry
-zero amplitude.
+Transition probabilities for the qubit itself are all 0 or 1 and the kernel
+ignores e', so a behavior is a routing table: each slit half has one allowed
+(e', e), which sends that slit's whole amplitude sum to screen state e.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import numpy as np
 __all__ = [
     "QubitBehavior",
     "is_allowed",
+    "screen_state",
     "screen_state_weights",
     "TransitionMask",
     "build_mask",
@@ -51,9 +52,27 @@ class QubitBehavior(Enum):
             ) from None
 
 
-def _validate_indices(n: int, i_prime: int, e_prime: int, e: int) -> None:
+# behavior -> slit half -> the one allowed (wall state e', screen state e)
+_ROUTES = {
+    QubitBehavior.NONE: {"lower": (1, 1), "upper": (1, 1)},
+    QubitBehavior.REMEMBERS: {"lower": (2, 2), "upper": (1, 1)},
+    QubitBehavior.FORGETS: {"lower": (2, 1), "upper": (1, 1)},
+}
+
+
+def _route(behavior: QubitBehavior, half: str) -> tuple[int, int]:
+    if not isinstance(behavior, QubitBehavior):
+        raise TypeError(f"behavior must be a QubitBehavior, got {behavior!r}")
+    return _ROUTES[behavior][half]
+
+
+def _validate_n(n: int) -> None:
     if n < 2 or n % 2 != 0:
         raise ValueError(f"n must be an even integer >= 2, got {n}")
+
+
+def _validate_indices(n: int, i_prime: int, e_prime: int, e: int) -> None:
+    _validate_n(n)
     if not 1 <= i_prime <= n:
         raise IndexError(f"slit index i' must be in 1..{n}, got {i_prime}")
     if e_prime not in (1, 2):
@@ -70,30 +89,26 @@ def is_allowed(behavior: QubitBehavior, n: int, i_prime: int, e_prime: int, e: i
     constant along screen rows.
     """
     _validate_indices(n, i_prime, e_prime, e)
-    if behavior is QubitBehavior.NONE:
-        return e_prime == 1 and e == 1
-    lower = i_prime <= n // 2
-    faithful_record = (lower and e_prime == 2) or (not lower and e_prime == 1)
-    if behavior is QubitBehavior.REMEMBERS:
-        return faithful_record and e_prime == e
-    if behavior is QubitBehavior.FORGETS:
-        return faithful_record and e == 1
-    raise TypeError(f"behavior must be a QubitBehavior, got {behavior!r}")
+    half = "lower" if i_prime <= n // 2 else "upper"
+    return _route(behavior, half) == (e_prime, e)
+
+
+def screen_state(behavior: QubitBehavior, half: str) -> int:
+    """Screen qubit state e that receives the whole sum of ``half`` ("lower" or "upper")."""
+    return _route(behavior, half)[1]
 
 
 def screen_state_weights(behavior: QubitBehavior, n: int) -> np.ndarray:
     """(n, 2) array of 0/1 weights: weights[i'-1, e-1] = sum over e' of is_allowed.
 
-    Because exactly one wall qubit state is admissible per slit position,
-    entries are 0.0 or 1.0 and each row sums to 1.  The propagation step
-    multiplies these into the kernel terms, which realizes the admissibility
-    mask without materializing the full composite transition table.
+    Exactly one wall qubit state is admissible per slit position, so
+    entries are 0.0 or 1.0 and each row sums to 1.
     """
+    _validate_n(n)
     weights = np.zeros((n, 2))
-    for i_prime in range(1, n + 1):
-        for e in (1, 2):
-            count = sum(is_allowed(behavior, n, i_prime, e_prime, e) for e_prime in (1, 2))
-            weights[i_prime - 1, e - 1] = float(count)
+    half = n // 2
+    weights[:half, screen_state(behavior, "lower") - 1] = 1.0
+    weights[half:, screen_state(behavior, "upper") - 1] = 1.0
     return weights
 
 
@@ -101,9 +116,9 @@ def screen_state_weights(behavior: QubitBehavior, n: int) -> np.ndarray:
 class TransitionMask:
     """Allowed/disallowed structure of the composite transition matrix.
 
-    The mask is represented by the predicate; a dense table is materialized
-    only on demand (intended for small n) since the structure depends on i'
-    only through which slit it falls in, never on the screen index.
+    The mask is represented by the behavior's routing table; a dense table
+    is materialized only on demand, since the structure depends on i' only
+    through which slit it falls in, never on the screen index.
     """
 
     behavior: QubitBehavior
@@ -123,14 +138,13 @@ class TransitionMask:
         ordered the same way for (i', e').
         """
         n = self.n
+        _validate_n(n)
+        half = n // 2
         table = np.zeros((2 * n, 2 * n), dtype=bool)
-        for e in (1, 2):
-            for i in range(1, n + 1):
-                row = (e - 1) * n + (i - 1)
-                for e_prime in (1, 2):
-                    for i_prime in range(1, n + 1):
-                        col = (e_prime - 1) * n + (i_prime - 1)
-                        table[row, col] = self.allowed(i, e, i_prime, e_prime)
+        for k, slit in enumerate(("lower", "upper")):
+            e_prime, e = _route(self.behavior, slit)
+            col = (e_prime - 1) * n + k * half
+            table[(e - 1) * n:e * n, col:col + half] = True
         return table
 
 
@@ -138,26 +152,13 @@ def build_mask(behavior: QubitBehavior, n: int) -> TransitionMask:
     """Validate arguments and wrap them in a :class:`TransitionMask`."""
     if not isinstance(behavior, QubitBehavior):
         raise TypeError(f"behavior must be a QubitBehavior, got {behavior!r}")
-    if n < 2 or n % 2 != 0:
-        raise ValueError(f"n must be an even integer >= 2, got {n}")
+    _validate_n(n)
     return TransitionMask(behavior=behavior, n=n)
 
 
 def interference_possible(mask: TransitionMask) -> bool:
     """True when some screen qubit state collects amplitude from both slits."""
-    half = mask.n // 2
-    for e in (1, 2):
-        from_lower = any(
-            is_allowed(mask.behavior, mask.n, i_prime, e_prime, e)
-            for i_prime in range(1, half + 1) for e_prime in (1, 2)
-        )
-        from_upper = any(
-            is_allowed(mask.behavior, mask.n, i_prime, e_prime, e)
-            for i_prime in range(half + 1, mask.n + 1) for e_prime in (1, 2)
-        )
-        if from_lower and from_upper:
-            return True
-    return False
+    return screen_state(mask.behavior, "lower") == screen_state(mask.behavior, "upper")
 
 
 def render_mask(mask: TransitionMask) -> str:

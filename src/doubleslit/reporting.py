@@ -159,9 +159,10 @@ def read_config_file(path) -> dict:
     """Parse a flat ``key = value`` config file into ExperimentConfig kwargs.
 
     Recognized keys: lambda, m, h, a, d, L, N, Zmin, Zmax.  Blank lines and
-    ``#`` comments are ignored.
+    ``#`` comments are ignored.  A key may appear only once.
     """
     overrides: dict = {}
+    first_line: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -175,6 +176,10 @@ def read_config_file(path) -> dict:
                     f"{path}:{lineno}: unknown key {key!r}; expected one of "
                     f"{sorted(CONFIG_FILE_KEYS)}"
                 )
+            if key in first_line:
+                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}, "
+                                 f"first set on line {first_line[key]}")
+            first_line[key] = lineno
             attr = CONFIG_FILE_KEYS[key]
             try:
                 overrides[attr] = int(value) if key == "N" else float(value)

@@ -58,6 +58,14 @@ class TestParseArgs:
             parse_args(["--config", str(cfg_file), "--csv", str(tmp_path / "o.csv")])
         assert excinfo.value.code == 2
 
+    def test_duplicate_config_key_is_a_usage_error(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("N = 100\nN = 50\n")
+        with pytest.raises(SystemExit) as excinfo:
+            parse_args(["--config", str(cfg_file), "--csv", str(tmp_path / "o.csv")])
+        assert excinfo.value.code == 2
+        assert "duplicate key 'N'" in capsys.readouterr().err
+
 
 class TestRun:
     def test_single_behavior_csv(self, tmp_path):

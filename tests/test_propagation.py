@@ -1,3 +1,5 @@
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,43 @@ def _field(config, behavior, threads=1):
     derived = ds.derive(config)
     grids = ds.build_grids(config, derived)
     return ds.accumulate(config, derived, grids, behavior, threads=threads)
+
+
+def masked_row_reference(config, behavior):
+    """(lower, upper) from the per-cell masked sums: every screen row, slit
+    half and screen state e sums kernel * amplitude * 0/1 weight left to right."""
+    derived = ds.derive(config)
+    grids = ds.build_grids(config, derived)
+    n, half = config.n_positions, config.n_positions // 2
+    weights = np.array([[sum(ds.is_allowed(behavior, n, i_prime, e_prime, e) for e_prime in (1, 2))
+                         for e in (1, 2)] for i_prime in range(1, n + 1)], dtype=float)
+    fields = []
+    for slit_half, w in ((grids.lower_slit, weights[:half]), (grids.upper_slit, weights[half:])):
+        amp = np.empty((n, 2), dtype=complex)
+        for i, x in enumerate(grids.screen_positions):
+            terms = ds.kernel(x, slit_half, config, derived) * derived.slit_amplitude
+            for e in range(2):
+                amp[i, e] = (terms * w[:, e]).cumsum()[-1]
+        fields.append(amp)
+    return fields
+
+
+class SerialPool:
+    """Stands in for ThreadPoolExecutor: runs each task at submit, starts no thread."""
+
+    def __init__(self, max_workers, record):
+        record.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args, **kwargs):
+        future = Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
 
 
 class TestAccumulate:
@@ -76,6 +115,47 @@ class TestAccumulate:
         serial = _field(cfg, QubitBehavior.REMEMBERS, threads=1)
         threaded = _field(cfg, QubitBehavior.REMEMBERS, threads=16)
         assert serial.lower.tobytes() == threaded.lower.tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("n", [16, 250])
+    @pytest.mark.parametrize("geometry", list(ds.GeometryMode))
+    @pytest.mark.parametrize("behavior", list(QubitBehavior))
+    def test_routed_sums_match_masked_rows_exactly(self, behavior, geometry, n, threads):
+        cfg = ds.ExperimentConfig(n_positions=n, geometry_mode=geometry)
+        field = _field(cfg, behavior, threads=threads)
+        lower, upper = masked_row_reference(cfg, behavior)
+        # Exact equality; only the unrouted columns may differ, as +0 against
+        # the -0 that a 0-weighted masked sum can leave.
+        np.testing.assert_array_equal(field.lower, lower)
+        np.testing.assert_array_equal(field.upper, upper)
+        reference = ds.AmplitudeField(lower=lower, upper=upper, behavior=behavior,
+                                      positions=field.positions, config=cfg)
+        assert ds.intensity(field).density.tobytes() == ds.intensity(reference).density.tobytes()
+
+    def test_one_kernel_pass_for_all_behaviors(self, monkeypatch):
+        calls = []
+
+        def counting_kernel(*args):
+            calls.append(1)
+            return ds.kernel(*args)
+
+        monkeypatch.setattr(propagation, "kernel", counting_kernel)
+        cfg = ds.ExperimentConfig(n_positions=16)
+        ds.simulate_all(cfg, behaviors=tuple(QubitBehavior))
+        assert len(calls) == 2 * cfg.n_positions     # one row per screen point and slit half
+
+    @pytest.mark.parametrize("cpus, workers", [(4, 4), (64, 16), (None, 1)])
+    def test_pool_is_capped_by_cpus_and_rows(self, monkeypatch, cpus, workers):
+        pools = []
+        monkeypatch.setattr(propagation, "ThreadPoolExecutor",
+                            lambda max_workers: SerialPool(max_workers, pools))
+        monkeypatch.setattr(propagation.os, "cpu_count", lambda: cpus)
+        cfg = ds.ExperimentConfig(n_positions=16)
+        profiles = ds.simulate_all(cfg, threads=10**6)
+        assert pools == ([workers] if workers > 1 else [])   # one pool per pass
+        serial = _field(cfg, QubitBehavior.NONE)
+        assert profiles[QubitBehavior.NONE].density.tobytes() == \
+            ds.intensity(serial).density.tobytes()
 
     def test_grid_size_mismatch_rejected(self, paper_config, config_250):
         derived = ds.derive(paper_config)

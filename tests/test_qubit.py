@@ -108,6 +108,15 @@ class TestTransitionMask:
             assert set(np.flatnonzero(table[i])) == expected_cols
         assert table[n:].sum() == 0
 
+    @pytest.mark.parametrize("behavior", list(QubitBehavior))
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_table_matches_predicate_exhaustively(self, behavior, n):
+        table = ds.build_mask(behavior, n).composite_table()
+        expected = np.array([[is_allowed(behavior, n, i_prime, e_prime, e)
+                              for e_prime in (1, 2) for i_prime in range(1, n + 1)]
+                             for e in (1, 2) for _ in range(n)])
+        np.testing.assert_array_equal(table, expected)
+
     def test_total_allowed_cells(self):
         # one (e', e) combination per (i, i') pair regardless of behavior
         for behavior in QubitBehavior:
@@ -132,6 +141,17 @@ class TestInterferencePossible:
         assert ds.interference_possible(ds.build_mask(QubitBehavior.NONE, n))
         assert ds.interference_possible(ds.build_mask(QubitBehavior.FORGETS, n))
         assert not ds.interference_possible(ds.build_mask(QubitBehavior.REMEMBERS, n))
+
+
+class TestScreenState:
+    @pytest.mark.parametrize("behavior", list(QubitBehavior))
+    def test_matches_oracle(self, behavior):
+        for half, _, e in ALLOWED_COMBOS[behavior]:
+            assert ds.screen_state(behavior, half) == e
+
+    def test_behavior_type_checked(self):
+        with pytest.raises(TypeError):
+            ds.screen_state("none", "lower")
 
 
 class TestScreenStateWeights:

@@ -136,6 +136,12 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="invalid number"):
             ds.read_config_file(path)
 
+    def test_duplicate_key_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("N = 100\n# finer\nN = 50\n")
+        with pytest.raises(ValueError, match=r"run.cfg:3: duplicate key 'N', first set on line 1"):
+            ds.read_config_file(path)
+
     def test_missing_equals_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("just some words\n")
