@@ -26,8 +26,6 @@ __all__ = ["RunRequest", "parse_args", "run", "main"]
 
 MASK_EXPORT_N = 8  # small enough to read, large enough to show the block structure
 
-_ALL_BEHAVIORS = (QubitBehavior.NONE, QubitBehavior.REMEMBERS, QubitBehavior.FORGETS)
-
 
 @dataclass(frozen=True)
 class RunRequest:
@@ -107,10 +105,10 @@ def parse_args(argv) -> RunRequest:
     except ConfigError as exc:
         parser.error(str(exc))
 
-    behaviors = _ALL_BEHAVIORS if args.qubit == "all" else (QubitBehavior(args.qubit),)
+    behaviors = tuple(QubitBehavior) if args.qubit == "all" else (QubitBehavior(args.qubit),)
 
     wants_validation = args.check or args.report is not None
-    if wants_validation and len(behaviors) != len(_ALL_BEHAVIORS):
+    if wants_validation and len(behaviors) != len(QubitBehavior):
         parser.error("--report/--check need all three behaviors; use --qubit all")
     if not (args.csv or args.svg or args.masks or wants_validation):
         parser.error("no output requested; pass at least one of "

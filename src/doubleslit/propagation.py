@@ -4,10 +4,11 @@ The kernel ignores the qubit, so :func:`slit_sums` computes once per config
 S_lower(x_i) and S_upper(x_i): the sum over each slit of K(x_i, x') *
 slit_amplitude, accumulated left to right in ascending x'.  A qubit behavior
 only routes each whole sum into one screen qubit state e
-(:func:`doubleslit.qubit.screen_state`).  Sums routed to the same e add
-coherently; the two states' probabilities add.  This O(N^2) pass runs row by
-row, each screen row written by exactly one task, so the result is bitwise
-identical for any thread count.
+(:func:`doubleslit.qubit.screen_state`); :func:`accumulate` does both for one
+behavior, and :func:`simulate_all` reroutes that one pass for the others.
+Sums routed to the same e add coherently; the two states' probabilities add.
+The O(N^2) pass runs row by row, each screen row written by exactly one
+task, so the result is bitwise identical for any thread count.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ def slit_sums(config: ExperimentConfig, derived: DerivedQuantities, grids: Grids
 
 
 def _routed_field(sums: tuple[np.ndarray, np.ndarray], behavior: QubitBehavior,
-                  grids: Grids, config: ExperimentConfig) -> AmplitudeField:
+                  positions: np.ndarray, config: ExperimentConfig) -> AmplitudeField:
     """Each slit's sum in the column of the screen state ``behavior`` routes it to."""
     fields = []
     for half, total in zip(("lower", "upper"), sums):
@@ -107,8 +108,14 @@ def _routed_field(sums: tuple[np.ndarray, np.ndarray], behavior: QubitBehavior,
                 f"non-finite {half}-slit amplitude at screen index {bad[0] + 1}, qubit state {e}")
         fields.append(np.zeros((total.size, 2), dtype=np.complex128))
         fields[-1][:, e - 1] = total
-    return AmplitudeField(*fields, behavior=behavior, positions=grids.screen_positions,
-                          config=config)
+    return AmplitudeField(*fields, behavior=behavior, positions=positions, config=config)
+
+
+def _rerouted(field: AmplitudeField, behavior: QubitBehavior) -> AmplitudeField:
+    """``field``'s two slit sums, routed as ``behavior`` routes them."""
+    sums = (field.lower[:, screen_state(field.behavior, "lower") - 1],
+            field.upper[:, screen_state(field.behavior, "upper") - 1])
+    return _routed_field(sums, behavior, field.positions, field.config)
 
 
 def accumulate(config: ExperimentConfig, derived: DerivedQuantities, grids: Grids,
@@ -116,7 +123,7 @@ def accumulate(config: ExperimentConfig, derived: DerivedQuantities, grids: Grid
     """Marginal slit amplitudes at the screen under a qubit behavior:
     :func:`slit_sums`, each routed into one screen qubit state."""
     sums = slit_sums(config, derived, grids, threads=threads)
-    return _routed_field(sums, behavior, grids, config)
+    return _routed_field(sums, behavior, grids.screen_positions, config)
 
 
 def intensity(field: AmplitudeField) -> IntensityProfile:
@@ -148,5 +155,7 @@ def simulate_all(config: ExperimentConfig, *, threads: int = 1,
     """Run the pipeline for several behaviors from one shared pass of slit sums."""
     derived = derive(config)
     grids = build_grids(config, derived)
-    sums = slit_sums(config, derived, grids, threads=threads)
-    return {b: intensity(_routed_field(sums, b, grids, config)) for b in behaviors}
+    if not behaviors:
+        return {}
+    field = accumulate(config, derived, grids, behaviors[0], threads=threads)
+    return {b: intensity(_rerouted(field, b)) for b in behaviors}

@@ -63,6 +63,8 @@ _ROUTES = {
 def _route(behavior: QubitBehavior, half: str) -> tuple[int, int]:
     if not isinstance(behavior, QubitBehavior):
         raise TypeError(f"behavior must be a QubitBehavior, got {behavior!r}")
+    if half not in ("lower", "upper"):
+        raise ValueError(f"half must be 'lower' or 'upper', got {half!r}")
     return _ROUTES[behavior][half]
 
 
@@ -118,7 +120,8 @@ class TransitionMask:
 
     The mask is represented by the behavior's routing table; a dense table
     is materialized only on demand, since the structure depends on i' only
-    through which slit it falls in, never on the screen index.
+    through which slit it falls in, never on the screen index.  Build it
+    with :func:`build_mask`, which validates the behavior and n.
     """
 
     behavior: QubitBehavior
@@ -138,7 +141,6 @@ class TransitionMask:
         ordered the same way for (i', e').
         """
         n = self.n
-        _validate_n(n)
         half = n // 2
         table = np.zeros((2 * n, 2 * n), dtype=bool)
         for k, slit in enumerate(("lower", "upper")):
@@ -150,8 +152,7 @@ class TransitionMask:
 
 def build_mask(behavior: QubitBehavior, n: int) -> TransitionMask:
     """Validate arguments and wrap them in a :class:`TransitionMask`."""
-    if not isinstance(behavior, QubitBehavior):
-        raise TypeError(f"behavior must be a QubitBehavior, got {behavior!r}")
+    _route(behavior, "lower")   # the behavior's type check
     _validate_n(n)
     return TransitionMask(behavior=behavior, n=n)
 

@@ -144,6 +144,21 @@ class TestAccumulate:
         ds.simulate_all(cfg, behaviors=tuple(QubitBehavior))
         assert len(calls) == 2 * cfg.n_positions     # one row per screen point and slit half
 
+    @pytest.mark.parametrize("first", list(QubitBehavior))
+    def test_rerouted_behaviors_match_their_own_pass(self, config_250, first):
+        # simulate_all runs one accumulate and reroutes its sums; whichever
+        # behavior comes first, every profile equals that behavior's own pass.
+        order = (first,) + tuple(b for b in QubitBehavior if b is not first)
+        profiles = ds.simulate_all(config_250, behaviors=order)
+        assert tuple(profiles) == order
+        for b in QubitBehavior:
+            own = ds.intensity(_field(config_250, b))
+            assert profiles[b].density.tobytes() == own.density.tobytes()
+
+    def test_no_behaviors_no_pass(self, config_250, monkeypatch):
+        monkeypatch.setattr(propagation, "kernel", None)
+        assert ds.simulate_all(config_250, behaviors=()) == {}
+
     @pytest.mark.parametrize("cpus, workers", [(4, 4), (64, 16), (None, 1)])
     def test_pool_is_capped_by_cpus_and_rows(self, monkeypatch, cpus, workers):
         pools = []

@@ -153,6 +153,11 @@ class TestScreenState:
         with pytest.raises(TypeError):
             ds.screen_state("none", "lower")
 
+    @pytest.mark.parametrize("half", ["Lower", "top", 0])
+    def test_unknown_half_rejected(self, half):
+        with pytest.raises(ValueError, match="half must be 'lower' or 'upper'"):
+            ds.screen_state(QubitBehavior.NONE, half)
+
 
 class TestScreenStateWeights:
     @pytest.mark.parametrize("behavior", list(QubitBehavior))
