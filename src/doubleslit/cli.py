@@ -75,8 +75,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="flat key=value config file (keys: lambda, m, h, a, d, "
                              "L, N, Zmin, Zmax); flags override file values")
     parser.add_argument("--threads", type=int, default=1, metavar="T",
-                        help="worker threads for the propagation loop, at most CPUs "
-                             "and N; the output is bitwise independent of T (default: 1)")
+                        help="accepted and ignored: the slit sums are matrix products "
+                             "on BLAS's own threads, and the output is bitwise "
+                             "independent of T (default: 1)")
     return parser
 
 

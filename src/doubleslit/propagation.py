@@ -1,26 +1,35 @@
 """Slit sums at the screen, their routing by qubit behavior, and the intensity.
 
-The kernel ignores the qubit, so :func:`slit_sums` computes once per config
-S_lower(x_i) and S_upper(x_i): the sum over each slit of K(x_i, x') *
-slit_amplitude, accumulated left to right in ascending x'.  A qubit behavior
-only routes each whole sum into one screen qubit state e
+The kernel K(x, x') = A*exp(i*c*(x - x')^2) ignores the qubit, so
+:func:`slit_sums` computes once per config S_lower(x_j) and S_upper(x_j), the
+sums over each slit of K * slit_amplitude.  With (x - x')^2 = x^2 - 2*x*x' +
+x'^2, the factor exp(i*c*x^2) is common to every term that lands on x, has
+modulus 1 and cancels in every intensity, so it is left out (the Fresnel
+quadratic-phase factorization; Goodman, *Introduction to Fourier Optics*,
+ch. 4).  The screen grid is uniform, so for j = b*R + r (R = isqrt(N)) the
+rest splits as exp(-2*i*c*x_{bR}*x') * exp(-2*i*c*r*dx*x'), and each slit's
+sums at all N screen points are one complex matrix product of a (N/R, N/2)
+and a (N/2, R) factor: about N*sqrt(N) complex exps instead of N^2, with
+phases of tens of radians instead of ~5e8.  The product is accumulated over
+fixed chunks of CHUNK slit columns, so the bits depend on nothing but the
+inputs (not on any thread count).
+
+A qubit behavior only routes each whole sum into one screen qubit state e
 (:func:`doubleslit.qubit.screen_state`); :func:`accumulate` does both for one
 behavior, and :func:`simulate_all` reroutes that one pass for the others.
 Sums routed to the same e add coherently; the two states' probabilities add.
-The O(N^2) pass runs row by row, each screen row written by exactly one
-task, so the result is bitwise identical for any thread count.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SimulationError
-from .physics import DerivedQuantities, ExperimentConfig, Grids, build_grids, derive, kernel
+from .physics import (DerivedQuantities, ExperimentConfig, Grids, build_grids, derive,
+                      kernel_prefactor)
 from .qubit import QubitBehavior, screen_state
 
 __all__ = [
@@ -33,6 +42,10 @@ __all__ = [
     "slit_sums",
 ]
 
+# Slit columns per matrix product.  The summation order, and so the last
+# bits of every profile, depend on it, so it is a constant.
+CHUNK = 512
+
 
 @dataclass(frozen=True)
 class AmplitudeField:
@@ -40,6 +53,9 @@ class AmplitudeField:
 
     ``lower`` and ``upper`` have shape (N, 2); column 0 is screen qubit
     state e=1, column 1 is e=2.  Units are m^(-1/2) (amplitude density).
+    Every entry at screen position x omits the factor exp(i*c*x^2), with
+    c = m / (2*hbar*L/v), that the kernel shares across all amplitudes at
+    x: it has modulus 1, so every intensity is unchanged.
     """
 
     lower: np.ndarray
@@ -59,41 +75,48 @@ class IntensityProfile:
     config: ExperimentConfig
 
 
-def _row_sums(screen_block: np.ndarray, slit_half: np.ndarray,
-              config: ExperimentConfig, derived: DerivedQuantities) -> np.ndarray:
-    """Sums from one slit for a block of screen positions.
+def _half_sums(blocks: np.ndarray, steps: np.ndarray, slit_half: np.ndarray,
+               c: float, weight: complex) -> np.ndarray:
+    """weight * sum_k exp(i*c*(x'_k^2 - 2*x*x'_k)) at x = blocks[b] + steps[r], shape (B, R).
 
-    Each screen row is evaluated as its own fixed-shape 1D operation.  This
-    is what makes the result independent of how rows are grouped into
-    blocks: elementwise kernels may round differently at SIMD tail
-    positions, so a 2D evaluation would let the block shape leak into the
-    last bits.
+    exp(-2*i*c*x*x') splits into a block factor and a step factor, so the
+    sum is V @ E^T with V[b, k] = weight * exp(i*c*(x'_k^2 - 2*blocks[b]*x'_k))
+    and E[r, k] = exp(-2*i*c*steps[r]*x'_k), accumulated over fixed chunks
+    of the slit in ascending order.
     """
-    out = np.empty(screen_block.size, dtype=np.complex128)
-    for r, x in enumerate(screen_block):
-        out[r] = (kernel(x, slit_half, config, derived) * derived.slit_amplitude).cumsum()[-1]
+    out = np.zeros((blocks.size, steps.size), dtype=np.complex128)
+    for k in range(0, slit_half.size, CHUNK):
+        xp = slit_half[k:k + CHUNK]
+        v = weight * np.exp(1j * (c * (xp * xp - 2.0 * np.multiply.outer(blocks, xp))))
+        e = np.exp(1j * (-2.0 * c * np.multiply.outer(steps, xp)))
+        out += v @ e.T
     return out
 
 
-def slit_sums(config: ExperimentConfig, derived: DerivedQuantities, grids: Grids,
-              *, threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
+def slit_sums(config: ExperimentConfig, derived: DerivedQuantities,
+              grids: Grids) -> tuple[np.ndarray, np.ndarray]:
     """(S_lower, S_upper): each slit's summed amplitude at every screen position.
 
-    ``threads`` spreads screen rows over one pool of at most
-    min(threads, CPUs, N) workers; the sums do not depend on it.
+    S(x) = A * slit_amplitude * sum over the slit of exp(i*c*(x'^2 - 2*x*x')),
+    the kernel sum without its common factor exp(i*c*x^2) (see
+    :class:`AmplitudeField`).  Raises ``ValueError`` if the grids do not
+    match the config, or if the screen grid is not uniform with spacing
+    ``derived.delta_screen`` to within 8 ulp of its largest position.
     """
     n = config.n_positions
-    if grids.screen_positions.size != n or grids.slit_positions.size != n:
+    screen = grids.screen_positions
+    if screen.size != n or grids.slit_positions.size != n:
         raise ValueError("grids do not match config.n_positions")
-    halves = (grids.lower_slit, grids.upper_slit)
-    workers = min(threads, os.cpu_count() or 1, n)
-    if workers <= 1:
-        return tuple(_row_sums(grids.screen_positions, h, config, derived) for h in halves)
-    blocks = np.array_split(grids.screen_positions, workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [[pool.submit(_row_sums, block, h, config, derived) for block in blocks]
-                   for h in halves]
-        return tuple(np.concatenate([f.result() for f in fs]) for fs in futures)
+    stride = math.isqrt(n)          # screen point j = b*stride + r
+    blocks, steps = screen[::stride], np.arange(stride) * derived.delta_screen
+    deviation = np.abs(np.add.outer(blocks, steps).ravel()[:n] - screen).max()
+    if deviation > 8 * np.spacing(np.abs(screen).max()):
+        raise ValueError(f"screen grid is not uniform with spacing delta_screen "
+                         f"(deviation {deviation:.3e} m)")
+    c = config.electron_mass / (2.0 * config.reduced_planck * derived.transit_time)
+    weight = kernel_prefactor(config, derived) * derived.slit_amplitude
+    return tuple(_half_sums(blocks, steps, h, c, weight).ravel()[:n]
+                 for h in (grids.lower_slit, grids.upper_slit))
 
 
 def _routed_field(sums: tuple[np.ndarray, np.ndarray], behavior: QubitBehavior,
@@ -121,8 +144,12 @@ def _rerouted(field: AmplitudeField, behavior: QubitBehavior) -> AmplitudeField:
 def accumulate(config: ExperimentConfig, derived: DerivedQuantities, grids: Grids,
                behavior: QubitBehavior, *, threads: int = 1) -> AmplitudeField:
     """Marginal slit amplitudes at the screen under a qubit behavior:
-    :func:`slit_sums`, each routed into one screen qubit state."""
-    sums = slit_sums(config, derived, grids, threads=threads)
+    :func:`slit_sums`, each routed into one screen qubit state.
+
+    ``threads`` is kept for callers that pass it; it has no effect, and the
+    result is the same for every value.
+    """
+    sums = slit_sums(config, derived, grids)
     return _routed_field(sums, behavior, grids.screen_positions, config)
 
 
@@ -145,17 +172,23 @@ def intensity(field: AmplitudeField) -> IntensityProfile:
 
 def simulate(config: ExperimentConfig, behavior: QubitBehavior, *,
              threads: int = 1) -> IntensityProfile:
-    """Full pipeline for one behavior: derive -> grids -> slit sums -> intensity."""
-    return simulate_all(config, threads=threads, behaviors=(behavior,))[behavior]
+    """Full pipeline for one behavior: derive -> grids -> slit sums -> intensity.
+
+    ``threads`` has no effect on the result (see :func:`accumulate`).
+    """
+    return simulate_all(config, behaviors=(behavior,))[behavior]
 
 
 def simulate_all(config: ExperimentConfig, *, threads: int = 1,
                  behaviors: tuple[QubitBehavior, ...] = tuple(QubitBehavior),
                  ) -> dict[QubitBehavior, IntensityProfile]:
-    """Run the pipeline for several behaviors from one shared pass of slit sums."""
+    """Run the pipeline for several behaviors from one shared pass of slit sums.
+
+    ``threads`` has no effect on the result (see :func:`accumulate`).
+    """
     derived = derive(config)
     grids = build_grids(config, derived)
     if not behaviors:
         return {}
-    field = accumulate(config, derived, grids, behaviors[0], threads=threads)
+    field = accumulate(config, derived, grids, behaviors[0])
     return {b: intensity(_rerouted(field, b)) for b in behaviors}

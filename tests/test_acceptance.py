@@ -15,6 +15,9 @@ subtracting the predicted G, at 1e-6 relative to the largest total.
 
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -221,6 +224,24 @@ def test_c09_parallel_determinism(tmp_path):
     ok = serial.read_bytes() == threaded.read_bytes()
     assert criterion(9, "CSV byte-identical for 1 thread vs max threads", ok,
                      f"max threads = {max_threads}")
+
+
+def test_c09_blas_threads_do_not_change_bits(tmp_path):
+    # The slit sums are matrix products, so BLAS's own thread count is a
+    # second, hidden thread axis; one BLAS thread in a fresh process must give
+    # the bytes of an in-process run, which uses BLAS's default thread count.
+    in_process, single = tmp_path / "in_process.csv", tmp_path / "blas1.csv"
+    assert main(["--qubit", "none", "--n", "2000", "--csv", str(in_process)]) == 0
+    package_root = str(Path(ds.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [package_root,
+                                                        os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-m", "doubleslit", "--qubit", "none", "--n", "2000",
+                    "--csv", str(single)], env=env, check=True, timeout=120)
+    ok = single.read_bytes() == in_process.read_bytes()
+    assert criterion(9, "CSV byte-identical for 1 BLAS thread vs the default", ok,
+                     f"OPENBLAS_NUM_THREADS in this process = "
+                     f"{os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}")
 
 
 def test_c10_mirror_symmetry(profiles_2000):

@@ -1,7 +1,10 @@
-from concurrent.futures import Future
+import threading
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import doubleslit as ds
 from doubleslit import propagation
@@ -9,14 +12,19 @@ from doubleslit.errors import SimulationError
 from doubleslit.qubit import QubitBehavior
 
 # Frozen oracle: the single lower-slit term at N=2 under the inactive qubit,
-# evaluated independently at 50-digit precision (kernel at the two screen
-# points from the slit center at -d/2, times the discrete slit amplitude).
-# The float pipeline carries ~1e8-radian phases, so agreement is limited by
-# phase rounding to roughly 1e-7 relative.
+# A * slit_amplitude * exp(i*c*(x'^2 - 2*x*x')) with x' = -d/2 (the amplitude
+# field omits the common factor exp(i*c*x^2)), evaluated at 50 digits from
+# the float config values and grid positions taken as exact.
 N2_LOWER_E1 = (
-    complex(-1.3422438867445664, -2.072665511872718),    # x = -0.075
-    complex(-2.0726655118727179, +1.3422438867445665),   # x = +0.075
+    complex(2.4693239916239021058, +5.9636627741371410357e-7),   # x = -0.075
+    complex(5.9636627721693033749e-7, -2.4693239916239021058),   # x = +0.075
 )
+ORACLE_DIGITS = 40
+ORACLE_TOL = 1e-13      # of the peak density
+# masked_row_reference's own distance from the 40-digit oracle, of the peak:
+# at most 6.1e-8 at N=16 and 1.6e-9 at N=250 (each term's ~5e8-rad phase is
+# rounded by ~6e-8 rad, and 16 terms average less of that than 125 do).
+MASKED_ROW_TOL = {16: 1e-7, 250: 1e-8}
 
 
 def _field(config, behavior, threads=1):
@@ -25,17 +33,53 @@ def _field(config, behavior, threads=1):
     return ds.accumulate(config, derived, grids, behavior, threads=threads)
 
 
+def oracle_densities(config, samples):
+    """(coherent, marked) densities at screen[samples] from a 40-digit evaluation
+    of S(x) = sum over each slit of exp(i*c*(x - x')^2), with c built from the
+    float config and the float grids taken as exact inputs.  none and forgets
+    see the coherent density, remembers the marked one."""
+    grids = ds.build_grids(config, ds.derive(config))
+    half = config.n_positions // 2
+    coherent, marked = [], []
+    with mpmath.workdps(ORACLE_DIGITS):
+        m, h = mpmath.mpf(config.electron_mass), mpmath.mpf(config.planck)
+        transit = mpmath.mpf(config.wall_to_screen) / (h / (mpmath.mpf(config.wavelength) * m))
+        hbar = h / (2 * mpmath.pi)
+        c = m / (2 * hbar * transit)
+        # |A|^2 * slit_amplitude^2 = (m / (2*pi*hbar*L/v)) * 2a / N^2
+        scale = m / (2 * mpmath.pi * hbar * transit) * 2 * mpmath.mpf(config.slit_width) \
+            / config.n_positions ** 2
+        slit = [mpmath.mpf(float(v)) for v in grids.slit_positions]
+        for i in samples:
+            x = mpmath.mpf(float(grids.screen_positions[i]))
+            s_lo = mpmath.fsum(mpmath.expj(c * (x - xp) ** 2) for xp in slit[:half])
+            s_up = mpmath.fsum(mpmath.expj(c * (x - xp) ** 2) for xp in slit[half:])
+            coherent.append(float(scale * abs(s_lo + s_up) ** 2))
+            marked.append(float(scale * (abs(s_lo) ** 2 + abs(s_up) ** 2)))
+    return np.array(coherent), np.array(marked)
+
+
+def assert_matches_oracle(config, samples):
+    coherent, marked = oracle_densities(config, samples)
+    for behavior, profile in ds.simulate_all(config).items():
+        reference = marked if behavior is QubitBehavior.REMEMBERS else coherent
+        err = np.abs(profile.density[samples] - reference).max() / profile.density.max()
+        assert err <= ORACLE_TOL, f"{behavior.value}: {err:.3e} of the peak"
+
+
 def masked_row_reference(config, behavior):
-    """(lower, upper) from the per-cell masked sums: every screen row, slit
-    half and screen state e sums kernel * amplitude * 0/1 weight left to right."""
+    """(lower, upper) from the per-cell masked sums of the full kernel: every
+    screen row, slit half and screen state e sums kernel * amplitude * 0/1
+    weight left to right.  Its entries carry the factor exp(i*c*x^2) and its
+    phases reach ~1e8 rad, so it agrees with the engine in density only, to
+    about 1e-9 of the peak."""
     derived = ds.derive(config)
     grids = ds.build_grids(config, derived)
-    n, half = config.n_positions, config.n_positions // 2
-    weights = np.array([[sum(ds.is_allowed(behavior, n, i_prime, e_prime, e) for e_prime in (1, 2))
-                         for e in (1, 2)] for i_prime in range(1, n + 1)], dtype=float)
+    weights = allowed_weights(config, behavior)
+    half = config.n_positions // 2
     fields = []
     for slit_half, w in ((grids.lower_slit, weights[:half]), (grids.upper_slit, weights[half:])):
-        amp = np.empty((n, 2), dtype=complex)
+        amp = np.empty((config.n_positions, 2), dtype=complex)
         for i, x in enumerate(grids.screen_positions):
             terms = ds.kernel(x, slit_half, config, derived) * derived.slit_amplitude
             for e in range(2):
@@ -44,22 +88,11 @@ def masked_row_reference(config, behavior):
     return fields
 
 
-class SerialPool:
-    """Stands in for ThreadPoolExecutor: runs each task at submit, starts no thread."""
-
-    def __init__(self, max_workers, record):
-        record.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args, **kwargs):
-        future = Future()
-        future.set_result(fn(*args, **kwargs))
-        return future
+def allowed_weights(config, behavior):
+    """(N, 2) 0/1 weights: wall cell i' reaches screen state e under ``behavior``."""
+    n = config.n_positions
+    return np.array([[sum(ds.is_allowed(behavior, n, i_prime, e_prime, e) for e_prime in (1, 2))
+                      for e in (1, 2)] for i_prime in range(1, n + 1)], dtype=float)
 
 
 class TestAccumulate:
@@ -67,14 +100,18 @@ class TestAccumulate:
         cfg = ds.ExperimentConfig(n_positions=2)
         field = _field(cfg, QubitBehavior.NONE)
         for i, expected in enumerate(N2_LOWER_E1):
-            assert field.lower[i, 0] == pytest.approx(expected, rel=1e-6)
-        # and the same value through the scalar kernel API
-        derived = ds.derive(cfg)
-        grids = ds.build_grids(cfg, derived)
-        for i in range(2):
-            direct = (ds.kernel(grids.screen_positions[i], grids.slit_positions[0],
-                                cfg, derived) * derived.slit_amplitude)
-            assert field.lower[i, 0] == pytest.approx(complex(direct), rel=1e-13)
+            assert field.lower[i, 0] == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("n", [16, 250])
+    @pytest.mark.parametrize("geometry", list(ds.GeometryMode))
+    def test_full_profiles_match_oracle(self, n, geometry):
+        cfg = ds.ExperimentConfig(n_positions=n, geometry_mode=geometry)
+        assert_matches_oracle(cfg, np.arange(n))
+
+    @pytest.mark.parametrize("geometry", list(ds.GeometryMode))
+    def test_sampled_points_match_oracle_at_n2000(self, geometry):
+        cfg = ds.ExperimentConfig(n_positions=2000, geometry_mode=geometry)
+        assert_matches_oracle(cfg, np.linspace(0, 1999, 12).astype(int))
 
     def test_inactive_qubit_leaves_second_state_empty(self, config_250):
         field = _field(config_250, QubitBehavior.NONE)
@@ -123,26 +160,40 @@ class TestAccumulate:
     def test_routed_sums_match_masked_rows_exactly(self, behavior, geometry, n, threads):
         cfg = ds.ExperimentConfig(n_positions=n, geometry_mode=geometry)
         field = _field(cfg, behavior, threads=threads)
-        lower, upper = masked_row_reference(cfg, behavior)
+        derived = ds.derive(cfg)
+        sums = ds.slit_sums(cfg, derived, ds.build_grids(cfg, derived))
+        # The per-cell 0/1 weights are constant over each slit half, so the
+        # masked sum of a half is that half's slit sum times its weight row.
+        weights = allowed_weights(cfg, behavior)
+        halves = (weights[:n // 2], weights[n // 2:])
+        assert all(np.all(w == w[0]) for w in halves)
+        lower, upper = (np.outer(total, w[0]) for total, w in zip(sums, halves))
         # Exact equality; only the unrouted columns may differ, as +0 against
-        # the -0 that a 0-weighted masked sum can leave.
+        # the -0 that a 0-weighted sum can leave.
         np.testing.assert_array_equal(field.lower, lower)
         np.testing.assert_array_equal(field.upper, upper)
         reference = ds.AmplitudeField(lower=lower, upper=upper, behavior=behavior,
                                       positions=field.positions, config=cfg)
-        assert ds.intensity(field).density.tobytes() == ds.intensity(reference).density.tobytes()
+        density = ds.intensity(field).density
+        assert density.tobytes() == ds.intensity(reference).density.tobytes()
+        # Cross-check against the full-kernel masked rows, in density.
+        old_lower, old_upper = masked_row_reference(cfg, behavior)
+        old = ds.intensity(ds.AmplitudeField(lower=old_lower, upper=old_upper, behavior=behavior,
+                                             positions=field.positions, config=cfg)).density
+        assert np.abs(density - old).max() <= MASKED_ROW_TOL[n] * old.max()
 
-    def test_one_kernel_pass_for_all_behaviors(self, monkeypatch):
+    def test_one_engine_pass_for_all_behaviors(self, monkeypatch):
         calls = []
+        half_sums = propagation._half_sums
 
-        def counting_kernel(*args):
+        def counting_half_sums(*args):
             calls.append(1)
-            return ds.kernel(*args)
+            return half_sums(*args)
 
-        monkeypatch.setattr(propagation, "kernel", counting_kernel)
+        monkeypatch.setattr(propagation, "_half_sums", counting_half_sums)
         cfg = ds.ExperimentConfig(n_positions=16)
         ds.simulate_all(cfg, behaviors=tuple(QubitBehavior))
-        assert len(calls) == 2 * cfg.n_positions     # one row per screen point and slit half
+        assert len(calls) == 2     # one pass: one matrix product per slit half
 
     @pytest.mark.parametrize("first", list(QubitBehavior))
     def test_rerouted_behaviors_match_their_own_pass(self, config_250, first):
@@ -156,21 +207,18 @@ class TestAccumulate:
             assert profiles[b].density.tobytes() == own.density.tobytes()
 
     def test_no_behaviors_no_pass(self, config_250, monkeypatch):
-        monkeypatch.setattr(propagation, "kernel", None)
+        monkeypatch.setattr(propagation, "_half_sums", None)
         assert ds.simulate_all(config_250, behaviors=()) == {}
 
-    @pytest.mark.parametrize("cpus, workers", [(4, 4), (64, 16), (None, 1)])
-    def test_pool_is_capped_by_cpus_and_rows(self, monkeypatch, cpus, workers):
-        pools = []
-        monkeypatch.setattr(propagation, "ThreadPoolExecutor",
-                            lambda max_workers: SerialPool(max_workers, pools))
-        monkeypatch.setattr(propagation.os, "cpu_count", lambda: cpus)
+    def test_huge_thread_count_starts_no_thread(self, monkeypatch):
         cfg = ds.ExperimentConfig(n_positions=16)
+        serial = ds.simulate_all(cfg, threads=1)
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
         profiles = ds.simulate_all(cfg, threads=10**6)
-        assert pools == ([workers] if workers > 1 else [])   # one pool per pass
-        serial = _field(cfg, QubitBehavior.NONE)
-        assert profiles[QubitBehavior.NONE].density.tobytes() == \
-            ds.intensity(serial).density.tobytes()
+        assert started == []
+        for b in QubitBehavior:
+            assert profiles[b].density.tobytes() == serial[b].density.tobytes()
 
     def test_grid_size_mismatch_rejected(self, paper_config, config_250):
         derived = ds.derive(paper_config)
@@ -178,11 +226,22 @@ class TestAccumulate:
         with pytest.raises(ValueError):
             ds.accumulate(config_250, ds.derive(config_250), grids, QubitBehavior.NONE)
 
-    def test_non_finite_amplitude_names_the_cell(self, config_250, monkeypatch):
-        def broken_kernel(x, x_prime, config, derived):
-            return np.full(np.broadcast(x, x_prime).shape, np.nan, dtype=np.complex128)
+    @pytest.mark.parametrize("index", [0, 7, 15])
+    def test_non_uniform_screen_grid_rejected(self, index):
+        cfg = ds.ExperimentConfig(n_positions=16)
+        derived = ds.derive(cfg)
+        grids = ds.build_grids(cfg, derived)
+        screen = grids.screen_positions.copy()
+        screen[index] += 1e-6 * derived.delta_screen
+        bent = ds.Grids(screen_positions=screen, slit_positions=grids.slit_positions)
+        with pytest.raises(ValueError, match="not uniform"):
+            ds.slit_sums(cfg, derived, bent)
 
-        monkeypatch.setattr(propagation, "kernel", broken_kernel)
+    def test_non_finite_amplitude_names_the_cell(self, config_250, monkeypatch):
+        def broken_half_sums(blocks, steps, *args):
+            return np.full((blocks.size, steps.size), np.nan, dtype=np.complex128)
+
+        monkeypatch.setattr(propagation, "_half_sums", broken_half_sums)
         with pytest.raises(SimulationError, match=r"screen index 1, qubit state 1"):
             _field(config_250, QubitBehavior.NONE)
 
@@ -259,3 +318,34 @@ class TestProfileProperties:
         profile = ds.simulate(config_250, QubitBehavior.REMEMBERS)
         assert profile.density.tobytes() == \
             profiles_250[QubitBehavior.REMEMBERS].density.tobytes()
+
+
+@st.composite
+def sweep_configs(draw):
+    """Valid configs over the ranges of the benchmark's sweep of small configs."""
+    width = draw(st.floats(0.5e-9, 3e-9))
+    window = draw(st.floats(0.05, 0.3))
+    return ds.ExperimentConfig(
+        n_positions=2 * draw(st.integers(1, 128)),
+        slit_width=width,
+        slit_separation=width * draw(st.floats(1.5, 6.0)),
+        screen_min=-window, screen_max=window,
+        geometry_mode=draw(st.sampled_from(list(ds.GeometryMode))))
+
+
+class TestRandomConfigs:
+    @settings(max_examples=60, deadline=None)
+    @given(sweep_configs())
+    def test_profile_properties(self, config):
+        profiles = ds.simulate_all(config)
+        for profile in profiles.values():
+            assert np.all(np.isfinite(profile.density))
+            assert np.all(profile.density >= 0)
+        none = profiles[QubitBehavior.NONE].density
+        assert none.tobytes() == profiles[QubitBehavior.FORGETS].density.tobytes()
+        # remembers - none = -2 Re(S_l conj(S_u)) <= 2 |S_l| |S_u|, up to rounding
+        derived = ds.derive(config)
+        s_lower, s_upper = ds.slit_sums(config, derived, ds.build_grids(config, derived))
+        bound = none + 2 * np.abs(s_lower) * np.abs(s_upper)
+        slack = 8 * np.finfo(float).eps * (np.abs(s_lower) + np.abs(s_upper)) ** 2
+        assert np.all(profiles[QubitBehavior.REMEMBERS].density <= bound + slack)
