@@ -145,8 +145,8 @@ class Grids:
     exact centers, so for a screen symmetric about zero the grids are
     bitwise antisymmetric: x[N-1-k] == -x[k].  The intensity mirror symmetry
     of the corrected geometry inherits this exactness; a naive evaluation of
-    the textbook indexing formula loses it (phases here are ~1e8 radians, so
-    a one-ulp grid asymmetry is visible in the profile).
+    the textbook indexing formula loses it (the full kernel phases are ~1e8
+    radians, so there a one-ulp grid asymmetry is visible in the profile).
     """
 
     screen_positions: np.ndarray

@@ -1,23 +1,12 @@
 """Slit sums at the screen, their routing by qubit behavior, and the intensity.
 
-The kernel K(x, x') = A*exp(i*c*(x - x')^2) ignores the qubit, so
-:func:`slit_sums` computes once per config S_lower(x_j) and S_upper(x_j), the
-sums over each slit of K * slit_amplitude.  With (x - x')^2 = x^2 - 2*x*x' +
-x'^2, the factor exp(i*c*x^2) is common to every term that lands on x, has
-modulus 1 and cancels in every intensity, so it is left out (the Fresnel
-quadratic-phase factorization; Goodman, *Introduction to Fourier Optics*,
-ch. 4).  The screen grid is uniform, so for j = b*R + r (R = isqrt(N)) the
-rest splits as exp(-2*i*c*x_{bR}*x') * exp(-2*i*c*r*dx*x'), and each slit's
-sums at all N screen points are one complex matrix product of a (N/R, N/2)
-and a (N/2, R) factor: about N*sqrt(N) complex exps instead of N^2, with
-phases of tens of radians instead of ~5e8.  The product is accumulated over
-fixed chunks of CHUNK slit columns, so the bits depend on nothing but the
-inputs (not on any thread count).
-
-A qubit behavior only routes each whole sum into one screen qubit state e
-(:func:`doubleslit.qubit.screen_state`); :func:`accumulate` does both for one
-behavior, and :func:`simulate_all` reroutes that one pass for the others.
-Sums routed to the same e add coherently; the two states' probabilities add.
+:func:`slit_sums` computes once per config each slit's sum of kernel *
+slit_amplitude at every screen point x, less the factor exp(i*c*x^2) that all
+amplitudes at x share (Goodman, *Introduction to Fourier Optics*, ch. 4), as
+one complex matrix product per slit half.  A qubit behavior only routes each
+whole sum into one screen qubit state e (:func:`doubleslit.qubit.screen_state`);
+:func:`accumulate` does both for one behavior, and :func:`simulate_all`
+reroutes that one pass for the others.  ``threads`` has no effect.
 """
 
 from __future__ import annotations
@@ -42,9 +31,7 @@ __all__ = [
     "slit_sums",
 ]
 
-# Slit columns per matrix product.  The summation order, and so the last
-# bits of every profile, depend on it, so it is a constant.
-CHUNK = 512
+CHUNK = 512   # slit columns per matrix product; it fixes the summation order and so the bits
 
 
 @dataclass(frozen=True)
@@ -53,9 +40,8 @@ class AmplitudeField:
 
     ``lower`` and ``upper`` have shape (N, 2); column 0 is screen qubit
     state e=1, column 1 is e=2.  Units are m^(-1/2) (amplitude density).
-    Every entry at screen position x omits the factor exp(i*c*x^2), with
-    c = m / (2*hbar*L/v), that the kernel shares across all amplitudes at
-    x: it has modulus 1, so every intensity is unchanged.
+    Entries at screen position x omit the kernel's common factor
+    exp(i*c*x^2), c = m/(2*hbar*L/v); its modulus is 1, so no intensity changes.
     """
 
     lower: np.ndarray
@@ -77,13 +63,10 @@ class IntensityProfile:
 
 def _half_sums(blocks: np.ndarray, steps: np.ndarray, slit_half: np.ndarray,
                c: float, weight: complex) -> np.ndarray:
-    """weight * sum_k exp(i*c*(x'_k^2 - 2*x*x'_k)) at x = blocks[b] + steps[r], shape (B, R).
-
-    exp(-2*i*c*x*x') splits into a block factor and a step factor, so the
-    sum is V @ E^T with V[b, k] = weight * exp(i*c*(x'_k^2 - 2*blocks[b]*x'_k))
-    and E[r, k] = exp(-2*i*c*steps[r]*x'_k), accumulated over fixed chunks
-    of the slit in ascending order.
-    """
+    """weight * sum_k exp(i*c*(x'_k^2 - 2*x*x'_k)) at x = blocks[b] + steps[r], shape (B, R):
+    V @ E^T over ascending slit chunks, V[b, k] = weight*exp(i*c*(x'_k^2 - 2*blocks[b]*x'_k)),
+    E[r, k] = exp(-2i*c*steps[r]*x'_k); B + R exps per slit point, not B*R, of phases of tens
+    of rad, not the kernel's ~5e8."""
     out = np.zeros((blocks.size, steps.size), dtype=np.complex128)
     for k in range(0, slit_half.size, CHUNK):
         xp = slit_half[k:k + CHUNK]
@@ -95,24 +78,17 @@ def _half_sums(blocks: np.ndarray, steps: np.ndarray, slit_half: np.ndarray,
 
 def slit_sums(config: ExperimentConfig, derived: DerivedQuantities,
               grids: Grids) -> tuple[np.ndarray, np.ndarray]:
-    """(S_lower, S_upper): each slit's summed amplitude at every screen position.
-
-    S(x) = A * slit_amplitude * sum over the slit of exp(i*c*(x'^2 - 2*x*x')),
-    the kernel sum without its common factor exp(i*c*x^2) (see
-    :class:`AmplitudeField`).  Raises ``ValueError`` if the grids do not
-    match the config, or if the screen grid is not uniform with spacing
-    ``derived.delta_screen`` to within 8 ulp of its largest position.
-    """
+    """(S_lower, S_upper): A * slit_amplitude * sum over each slit of exp(i*c*(x'^2 - 2*x*x'))
+    at every screen position x.  Raises ``ValueError`` if the grids do not match the config
+    or the screen grid is off a uniform one of spacing ``derived.delta_screen`` by > 8 ulp."""
     n = config.n_positions
-    screen = grids.screen_positions
-    if screen.size != n or grids.slit_positions.size != n:
+    if grids.screen_positions.size != n or grids.slit_positions.size != n:
         raise ValueError("grids do not match config.n_positions")
-    stride = math.isqrt(n)          # screen point j = b*stride + r
-    blocks, steps = screen[::stride], np.arange(stride) * derived.delta_screen
-    deviation = np.abs(np.add.outer(blocks, steps).ravel()[:n] - screen).max()
-    if deviation > 8 * np.spacing(np.abs(screen).max()):
-        raise ValueError(f"screen grid is not uniform with spacing delta_screen "
-                         f"(deviation {deviation:.3e} m)")
+    stride = math.isqrt(n)          # screen point j = b*stride + r, 0 <= r < stride
+    blocks, steps = grids.screen_positions[::stride], np.arange(stride) * derived.delta_screen
+    deviation = np.abs(np.add.outer(blocks, steps).ravel()[:n] - grids.screen_positions).max()
+    if deviation > 8 * np.spacing(np.abs(grids.screen_positions).max()):
+        raise ValueError(f"screen grid is not uniform (off by {deviation:.3e} m)")
     c = config.electron_mass / (2.0 * config.reduced_planck * derived.transit_time)
     weight = kernel_prefactor(config, derived) * derived.slit_amplitude
     return tuple(_half_sums(blocks, steps, h, c, weight).ravel()[:n]
@@ -144,11 +120,7 @@ def _rerouted(field: AmplitudeField, behavior: QubitBehavior) -> AmplitudeField:
 def accumulate(config: ExperimentConfig, derived: DerivedQuantities, grids: Grids,
                behavior: QubitBehavior, *, threads: int = 1) -> AmplitudeField:
     """Marginal slit amplitudes at the screen under a qubit behavior:
-    :func:`slit_sums`, each routed into one screen qubit state.
-
-    ``threads`` is kept for callers that pass it; it has no effect, and the
-    result is the same for every value.
-    """
+    :func:`slit_sums`, each routed into one screen qubit state."""
     sums = slit_sums(config, derived, grids)
     return _routed_field(sums, behavior, grids.screen_positions, config)
 
@@ -172,20 +144,14 @@ def intensity(field: AmplitudeField) -> IntensityProfile:
 
 def simulate(config: ExperimentConfig, behavior: QubitBehavior, *,
              threads: int = 1) -> IntensityProfile:
-    """Full pipeline for one behavior: derive -> grids -> slit sums -> intensity.
-
-    ``threads`` has no effect on the result (see :func:`accumulate`).
-    """
+    """Full pipeline for one behavior: derive -> grids -> slit sums -> intensity."""
     return simulate_all(config, behaviors=(behavior,))[behavior]
 
 
 def simulate_all(config: ExperimentConfig, *, threads: int = 1,
                  behaviors: tuple[QubitBehavior, ...] = tuple(QubitBehavior),
                  ) -> dict[QubitBehavior, IntensityProfile]:
-    """Run the pipeline for several behaviors from one shared pass of slit sums.
-
-    ``threads`` has no effect on the result (see :func:`accumulate`).
-    """
+    """Run the pipeline for several behaviors from one shared pass of slit sums."""
     derived = derive(config)
     grids = build_grids(config, derived)
     if not behaviors:

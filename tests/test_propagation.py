@@ -21,9 +21,9 @@ N2_LOWER_E1 = (
 )
 ORACLE_DIGITS = 40
 ORACLE_TOL = 1e-13      # of the peak density
-# masked_row_reference's own distance from the 40-digit oracle, of the peak:
-# at most 6.1e-8 at N=16 and 1.6e-9 at N=250 (each term's ~5e8-rad phase is
-# rounded by ~6e-8 rad, and 16 terms average less of that than 125 do).
+# masked_row_reference's own distance from the 40-digit oracle, of the peak,
+# is at most 6.1e-8 at N=16 and 1.6e-9 at N=250: each of its ~5e8-rad phases
+# is rounded by up to ~6e-8 rad.
 MASKED_ROW_TOL = {16: 1e-7, 250: 1e-8}
 
 
