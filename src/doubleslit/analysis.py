@@ -8,7 +8,7 @@ on simulated profiles and compares them at fixed tolerances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -42,6 +42,13 @@ FIRST_MINIMUM_TOL_CELLS = 2       # multiples of delta_screen
 SECONDARY_MAXIMUM_TOL_CELLS = 5
 INTERFERENCE_MIN_PEAKS = 5        # peaks inside the central lobe
 DEFAULT_PEAK_PROMINENCE = 0.01    # fraction of the global maximum
+
+# report feature -> the check whose measured and expected values it prints
+_FEATURE_CHECKS = {
+    "fringe_spacing": "fringe_spacing",
+    "first_minimum": "first_minimum_positive",
+    "secondary_maximum": "secondary_maximum_positive",
+}
 
 
 @dataclass(frozen=True)
@@ -133,23 +140,7 @@ class ValidationReport:
     config: ExperimentConfig
     totals: dict[str, float]                 # behavior name -> total probability
     interference: dict[str, bool]            # behavior name -> fringes detected
-    fringe_spacing_measured: Optional[float]
-    fringe_spacing_expected: float
-    first_minimum_measured: Optional[float]  # positive-side, meters
-    first_minimum_expected: float
-    secondary_maximum_measured: Optional[float]
-    secondary_maximum_expected: float
-    checks: tuple[CheckResult, ...] = field(default_factory=tuple)
-
-    @property
-    def total_probability(self) -> float:
-        """Total for the inactive-qubit run (the reference normalization)."""
-        return self.totals[QubitBehavior.NONE.value]
-
-    @property
-    def interference_detected(self) -> bool:
-        """Fringe flag for the inactive-qubit run."""
-        return self.interference[QubitBehavior.NONE.value]
+    checks: tuple[CheckResult, ...]
 
     @property
     def passed(self) -> bool:
@@ -157,6 +148,7 @@ class ValidationReport:
 
     def to_dict(self) -> dict:
         cfg = self.config
+        checks = {c.name: c for c in self.checks}
         return {
             "config": {
                 "electron_mass": cfg.electron_mass,
@@ -172,16 +164,8 @@ class ValidationReport:
             },
             "totals": dict(self.totals),
             "interference": dict(self.interference),
-            "measured": {
-                "fringe_spacing": self.fringe_spacing_measured,
-                "first_minimum": self.first_minimum_measured,
-                "secondary_maximum": self.secondary_maximum_measured,
-            },
-            "expected": {
-                "fringe_spacing": self.fringe_spacing_expected,
-                "first_minimum": self.first_minimum_expected,
-                "secondary_maximum": self.secondary_maximum_expected,
-            },
+            "measured": {f: checks[name].measured for f, name in _FEATURE_CHECKS.items()},
+            "expected": {f: checks[name].expected for f, name in _FEATURE_CHECKS.items()},
             "checks": [
                 {
                     "name": c.name,
@@ -207,19 +191,17 @@ class ValidationReport:
                 return repr(v)
             return str(v)
 
+        tree = self.to_dict()
         lines = []
-        for key, value in self.to_dict()["config"].items():
+        for key, value in tree["config"].items():
             lines.append(f"config_{key} = {fmt(value)}")
         for name, value in self.totals.items():
             lines.append(f"total_probability_{name} = {fmt(value)}")
         for name, value in self.interference.items():
             lines.append(f"interference_detected_{name} = {fmt(value)}")
-        lines.append(f"fringe_spacing_measured = {fmt(self.fringe_spacing_measured)}")
-        lines.append(f"fringe_spacing_expected = {fmt(self.fringe_spacing_expected)}")
-        lines.append(f"first_minimum_measured = {fmt(self.first_minimum_measured)}")
-        lines.append(f"first_minimum_expected = {fmt(self.first_minimum_expected)}")
-        lines.append(f"secondary_maximum_measured = {fmt(self.secondary_maximum_measured)}")
-        lines.append(f"secondary_maximum_expected = {fmt(self.secondary_maximum_expected)}")
+        for feature in _FEATURE_CHECKS:
+            lines.append(f"{feature}_measured = {fmt(tree['measured'][feature])}")
+            lines.append(f"{feature}_expected = {fmt(tree['expected'][feature])}")
         for c in self.checks:
             lines.append(f"check_{c.name}_measured = {fmt(c.measured)}")
             lines.append(f"check_{c.name}_expected = {fmt(c.expected)}")
@@ -330,11 +312,5 @@ def validate(profiles: Mapping[QubitBehavior, IntensityProfile],
         config=config,
         totals=totals,
         interference=interference,
-        fringe_spacing_measured=fringe,
-        fringe_spacing_expected=preds.fringe_spacing,
-        first_minimum_measured=fmin_pos,
-        first_minimum_expected=preds.first_minimum,
-        secondary_maximum_measured=smax_pos,
-        secondary_maximum_expected=preds.secondary_maximum,
         checks=tuple(checks),
     )

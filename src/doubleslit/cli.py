@@ -39,8 +39,6 @@ class RunRequest:
     report_path: Optional[Path] = None
     check: bool = False
     peak_threshold: float = DEFAULT_PEAK_PROMINENCE
-    threads: int = 1
-    mask_n: int = MASK_EXPORT_N
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -121,8 +119,7 @@ def parse_args(argv) -> RunRequest:
 
     return RunRequest(config=config, behaviors=behaviors, csv_path=args.csv,
                       svg_path=args.svg, masks_dir=args.masks, report_path=args.report,
-                      check=args.check, peak_threshold=args.peak_threshold,
-                      threads=args.threads)
+                      check=args.check, peak_threshold=args.peak_threshold)
 
 
 def _per_behavior_path(path: Path, behavior: QubitBehavior, multiple: bool) -> Path:
@@ -134,8 +131,7 @@ def _per_behavior_path(path: Path, behavior: QubitBehavior, multiple: bool) -> P
 def run(request: RunRequest) -> int:
     """Execute a RunRequest; returns the process exit code."""
     try:
-        profiles = simulate_all(request.config, threads=request.threads,
-                                behaviors=request.behaviors)
+        profiles = simulate_all(request.config, behaviors=request.behaviors)
         multiple = len(request.behaviors) > 1
 
         for behavior, profile in profiles.items():
@@ -149,7 +145,7 @@ def run(request: RunRequest) -> int:
         if request.masks_dir is not None:
             request.masks_dir.mkdir(parents=True, exist_ok=True)
             for behavior in request.behaviors:
-                mask = build_mask(behavior, request.mask_n)
+                mask = build_mask(behavior, MASK_EXPORT_N)
                 write_mask_file(mask, request.masks_dir / f"mask_{behavior.value}.txt")
 
         if request.check or request.report_path is not None:
@@ -163,7 +159,8 @@ def run(request: RunRequest) -> int:
                 print(f"validation failed: {', '.join(failed)}", file=sys.stderr)
                 return 2
         return 0
-    except (ConfigError, SimulationError, AnalysisError, OSError, ValueError) as exc:
+    except (ConfigError, SimulationError, AnalysisError, OSError, ValueError,
+            MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

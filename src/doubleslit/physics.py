@@ -120,19 +120,26 @@ class DerivedQuantities:
     delta_screen: float    # m, (Zmax - Zmin) / N
     slit_amplitude: float  # m^(1/2), delta_slit / sqrt(2a)
     transit_time: float    # s, L / v
+    phase_scale: float     # 1/m^2, c = m / (2*hbar*L/v): the kernel phase is c*(x-x')^2
 
 
 def derive(config: ExperimentConfig) -> DerivedQuantities:
-    """Compute velocity, grid spacings, slit amplitude, and transit time."""
-    velocity = config.planck / (config.wavelength * config.electron_mass)
-    delta_slit = 2.0 * config.slit_width / config.n_positions
-    delta_screen = (config.screen_max - config.screen_min) / config.n_positions
-    slit_amplitude = delta_slit / math.sqrt(2.0 * config.slit_width)
-    transit_time = config.wall_to_screen / velocity
-    values = (velocity, delta_slit, delta_screen, slit_amplitude, transit_time)
+    """Velocity, grid spacings, slit amplitude, transit time and phase scale;
+    :class:`SimulationError` unless each is finite and positive."""
+    try:
+        velocity = config.planck / (config.wavelength * config.electron_mass)
+        delta_slit = 2.0 * config.slit_width / config.n_positions
+        delta_screen = (config.screen_max - config.screen_min) / config.n_positions
+        slit_amplitude = delta_slit / math.sqrt(2.0 * config.slit_width)
+        transit_time = config.wall_to_screen / velocity
+        phase_scale = config.electron_mass / (2.0 * config.reduced_planck * transit_time)
+    except ZeroDivisionError:
+        raise SimulationError("derived quantities are not finite/positive: "
+                              "a denominator underflows to zero") from None
+    values = (velocity, delta_slit, delta_screen, slit_amplitude, transit_time, phase_scale)
     if not all(math.isfinite(v) and v > 0 for v in values):
         raise SimulationError(f"derived quantities are not finite/positive: {values}")
-    return DerivedQuantities(velocity, delta_slit, delta_screen, slit_amplitude, transit_time)
+    return DerivedQuantities(*values)
 
 
 @dataclass(frozen=True)
@@ -207,9 +214,9 @@ def kernel(x, x_prime, config: ExperimentConfig, derived: DerivedQuantities):
     :class:`SimulationError` if any output is non-finite, which signals
     mis-scaled inputs rather than a recoverable condition.
     """
-    phase_scale = config.electron_mass / (2.0 * config.reduced_planck * derived.transit_time)
     displacement = np.subtract(x, x_prime)
-    out = kernel_prefactor(config, derived) * np.exp(1j * (phase_scale * np.square(displacement)))
+    out = kernel_prefactor(config, derived) * np.exp(
+        1j * (derived.phase_scale * np.square(displacement)))
     if not np.all(np.isfinite(out)):
         raise SimulationError("kernel produced a non-finite amplitude; check input scales")
     return out

@@ -6,7 +6,8 @@ amplitudes at x share (Goodman, *Introduction to Fourier Optics*, ch. 4), as
 one complex matrix product per slit half.  A qubit behavior only routes each
 whole sum into one screen qubit state e (:func:`doubleslit.qubit.screen_state`);
 :func:`accumulate` does both for one behavior, and :func:`simulate_all`
-reroutes that one pass for the others.  ``threads`` has no effect.
+reroutes that one pass for the others.  ``accumulate``'s ``threads`` is
+accepted and ignored; the matrix products run on BLAS's own threads.
 """
 
 from __future__ import annotations
@@ -89,9 +90,8 @@ def slit_sums(config: ExperimentConfig, derived: DerivedQuantities,
     deviation = np.abs(np.add.outer(blocks, steps).ravel()[:n] - grids.screen_positions).max()
     if deviation > 8 * np.spacing(np.abs(grids.screen_positions).max()):
         raise ValueError(f"screen grid is not uniform (off by {deviation:.3e} m)")
-    c = config.electron_mass / (2.0 * config.reduced_planck * derived.transit_time)
     weight = kernel_prefactor(config, derived) * derived.slit_amplitude
-    return tuple(_half_sums(blocks, steps, h, c, weight).ravel()[:n]
+    return tuple(_half_sums(blocks, steps, h, derived.phase_scale, weight).ravel()[:n]
                  for h in (grids.lower_slit, grids.upper_slit))
 
 
@@ -120,7 +120,7 @@ def _rerouted(field: AmplitudeField, behavior: QubitBehavior) -> AmplitudeField:
 def accumulate(config: ExperimentConfig, derived: DerivedQuantities, grids: Grids,
                behavior: QubitBehavior, *, threads: int = 1) -> AmplitudeField:
     """Marginal slit amplitudes at the screen under a qubit behavior:
-    :func:`slit_sums`, each routed into one screen qubit state."""
+    :func:`slit_sums`, each routed into one screen qubit state.  ``threads`` is ignored."""
     sums = slit_sums(config, derived, grids)
     return _routed_field(sums, behavior, grids.screen_positions, config)
 
@@ -142,13 +142,12 @@ def intensity(field: AmplitudeField) -> IntensityProfile:
                             behavior=field.behavior, config=field.config)
 
 
-def simulate(config: ExperimentConfig, behavior: QubitBehavior, *,
-             threads: int = 1) -> IntensityProfile:
+def simulate(config: ExperimentConfig, behavior: QubitBehavior) -> IntensityProfile:
     """Full pipeline for one behavior: derive -> grids -> slit sums -> intensity."""
     return simulate_all(config, behaviors=(behavior,))[behavior]
 
 
-def simulate_all(config: ExperimentConfig, *, threads: int = 1,
+def simulate_all(config: ExperimentConfig, *,
                  behaviors: tuple[QubitBehavior, ...] = tuple(QubitBehavior),
                  ) -> dict[QubitBehavior, IntensityProfile]:
     """Run the pipeline for several behaviors from one shared pass of slit sums."""

@@ -41,16 +41,6 @@ class QubitBehavior(Enum):
     REMEMBERS = "remembers"
     FORGETS = "forgets"
 
-    @classmethod
-    def from_name(cls, name: str) -> "QubitBehavior":
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            raise ValueError(
-                f"unknown qubit behavior {name!r}; expected one of "
-                f"{[b.value for b in cls]}"
-            ) from None
-
 
 # behavior -> slit half -> the one allowed (wall state e', screen state e)
 _ROUTES = {
@@ -126,12 +116,6 @@ class TransitionMask:
 
     behavior: QubitBehavior
     n: int
-
-    def allowed(self, i: int, e: int, i_prime: int, e_prime: int) -> bool:
-        """Predicate over (screen index i, screen state e, slit index i', wall state e')."""
-        if not 1 <= i <= self.n:
-            raise IndexError(f"screen index i must be in 1..{self.n}, got {i}")
-        return is_allowed(self.behavior, self.n, i_prime, e_prime, e)
 
     def composite_table(self) -> np.ndarray:
         """Dense (2n, 2n) boolean table.

@@ -151,11 +151,11 @@ class TestValidate:
 
     def test_measured_features_inside_screen(self, profiles_250, config_250):
         report = ds.validate(profiles_250, config_250)
-        for value in (report.fringe_spacing_measured, report.first_minimum_measured,
-                      report.secondary_maximum_measured):
-            assert value is not None
-        assert config_250.screen_min <= report.first_minimum_measured <= config_250.screen_max
-        assert config_250.screen_min <= report.secondary_maximum_measured <= config_250.screen_max
+        measured = {c.name: c.measured for c in report.checks}
+        for name in ("fringe_spacing", "first_minimum_positive", "secondary_maximum_positive"):
+            assert measured[name] is not None
+        for name in ("first_minimum_positive", "secondary_maximum_positive"):
+            assert config_250.screen_min <= measured[name] <= config_250.screen_max
 
     def test_deterministic(self, profiles_250, config_250):
         a = ds.validate(profiles_250, config_250)
@@ -192,6 +192,55 @@ class TestValidate:
                              "expected", "checks", "passed"}
         for check in tree["checks"]:
             assert {"name", "measured", "expected", "tolerance", "pass"} <= set(check)
+
+    def test_report_layout_is_pinned(self, profiles_250, config_250):
+        # The exact key order of both serializations, and the feature values
+        # they print, which are the measured/expected values of the checks.
+        report = ds.validate(profiles_250, config_250)
+        config_keys = ["electron_mass", "wavelength", "planck", "slit_width",
+                       "slit_separation", "wall_to_screen", "screen_min", "screen_max",
+                       "n_positions", "geometry_mode"]
+        behaviors = ["none", "remembers", "forgets"]
+        features = {"fringe_spacing": "fringe_spacing",
+                    "first_minimum": "first_minimum_positive",
+                    "secondary_maximum": "secondary_maximum_positive"}
+        check_names = ["normalization_none", "normalization_remembers",
+                       "normalization_forgets", "normalization_pairwise", "fringe_spacing",
+                       "first_minimum_positive", "first_minimum_negative",
+                       "secondary_maximum_positive", "secondary_maximum_negative",
+                       "interference_none", "interference_forgets", "interference_remembers"]
+        text_keys = ([f"config_{k}" for k in config_keys]
+                     + [f"total_probability_{b}" for b in behaviors]
+                     + [f"interference_detected_{b}" for b in behaviors]
+                     + [f"{f}_{kind}" for f in features for kind in ("measured", "expected")]
+                     + [f"check_{name}_{field}" for name in check_names
+                        for field in ("measured", "expected", "tolerance", "pass")]
+                     + ["passed"])
+        lines = report.to_text().rstrip("\n").split("\n")
+        text = dict(line.split(" = ", 1) for line in lines)
+        assert [line.split(" = ", 1)[0] for line in lines] == text_keys
+
+        tree = report.to_dict()
+        assert list(tree) == ["config", "totals", "interference", "measured", "expected",
+                              "checks", "passed"]
+        assert list(tree["config"]) == config_keys
+        assert list(tree["totals"]) == behaviors
+        assert list(tree["interference"]) == behaviors
+        assert list(tree["measured"]) == list(features)
+        assert list(tree["expected"]) == list(features)
+        assert [c["name"] for c in tree["checks"]] == check_names
+        noted = {"normalization_pairwise", "interference_none", "interference_forgets",
+                 "interference_remembers"}
+        for c in tree["checks"]:
+            fields = ["name", "measured", "expected", "tolerance", "pass"]
+            assert list(c) == fields + (["note"] if c["name"] in noted else [])
+
+        checks = {c.name: c for c in report.checks}
+        for feature, check in features.items():
+            assert tree["measured"][feature] == checks[check].measured
+            assert tree["expected"][feature] == checks[check].expected
+            for kind in ("measured", "expected"):
+                assert text[f"{feature}_{kind}"] == text[f"check_{check}_{kind}"]
 
     def test_fringe_spacing_identical_for_none_and_forgets(self, profiles_250, config_250):
         # the profiles are bitwise equal, so the derived spacing must be too

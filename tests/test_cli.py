@@ -1,10 +1,57 @@
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import doubleslit as ds
 from doubleslit.cli import main, parse_args
 from doubleslit.qubit import QubitBehavior
+from doubleslit.reporting import CONFIG_FILE_KEYS, read_config_file
+
+# Exponents of the reference constants, so that many fuzzed files are valid.
+REFERENCE_EXPONENT = {"lambda": -10, "m": -31, "h": -34, "a": -9, "d": -8, "L": 0,
+                      "Zmin": -1, "Zmax": -1}
+# Numbers from 0 through +-1e-320 ... +-1e308 to nan and inf, and non-numbers.
+ANY_VALUE = st.one_of(
+    st.sampled_from(["0", "-0", "nan", "inf", "-inf", "1e-320", "-1e-320", "1e308", "-1e308"]),
+    st.builds("{}{}e{}".format, st.sampled_from(["", "-"]), st.integers(1, 9),
+              st.integers(-320, 308)),
+    st.sampled_from(["", "abc", "1,5", "0x10", "1e", "--1", "1 2"]))
+# N is even and at most 64, so that every run stays small, or malformed.
+GOOD_N = st.integers(1, 32).map(lambda k: str(2 * k))
+BAD_N = st.one_of(st.integers(-4, 0).map(lambda k: str(2 * k)),
+                  st.sampled_from(["", "3", "3.5", "1e2", "sixteen", "16 16", "0x10", "nan"]))
+
+
+def _sometimes(draw, usual, rare):
+    """A draw from ``rare`` one time in four, otherwise from ``usual``."""
+    return draw(rare if draw(st.integers(0, 3)) == 0 else usual)
+
+
+@st.composite
+def fuzzed_config_file(draw) -> bytes:
+    """N and some known keys with numbers of their constant's sign, and sometimes
+    faults: any value for a known or unknown key, a repeated key, a line without
+    '=', bytes that are not UTF-8."""
+    lines = [f"N = {_sometimes(draw, GOOD_N, BAD_N)}".encode()]
+    for key in draw(st.lists(st.sampled_from(sorted(REFERENCE_EXPONENT)), unique=True)):
+        # near the reference, or near either end of the float range
+        exponent = st.one_of(st.integers(REFERENCE_EXPONENT[key] - 2, REFERENCE_EXPONENT[key]),
+                             st.integers(-320, -280), st.integers(280, 308))
+        sign = "-" if key == "Zmin" else ""
+        value = draw(st.builds(f"{sign}{{}}e{{}}".format, st.integers(1, 9), exponent))
+        lines.append(f"{key} = {value}".encode())
+    fault = st.one_of(
+        st.builds("{} = {}".format, st.sampled_from(sorted(CONFIG_FILE_KEYS) + ["n", "x"]),
+                  ANY_VALUE).map(str.encode),
+        st.sampled_from([b"# comment", b"N", b"= 1", b"a = \xff", b"L = 1\xc3\x28"]),
+        st.sampled_from(lines),                              # a repeated line
+    )
+    lines += _sometimes(draw, st.just([]), st.lists(fault, min_size=1, max_size=3))
+    draw(st.randoms()).shuffle(lines)
+    return b"\n".join(lines) + b"\n"
 
 
 class TestParseArgs:
@@ -13,7 +60,6 @@ class TestParseArgs:
         assert request.config == ds.ExperimentConfig()
         assert request.behaviors == (QubitBehavior.NONE, QubitBehavior.REMEMBERS,
                                      QubitBehavior.FORGETS)
-        assert request.threads == 1
         assert request.check is False
 
     def test_single_behavior(self, tmp_path):
@@ -120,6 +166,47 @@ class TestRun:
         captured = capsys.readouterr()
         assert "validation failed: normalization_pairwise" in captured.err
         assert "check_fringe_spacing_pass = true" in captured.out
+
+    @pytest.mark.parametrize("line", ["lambda = 1e-300", "m = 1e-320", "L = 1e-300"])
+    def test_underflowed_denominator_is_a_runtime_error(self, tmp_path, capsys, line):
+        # Each value is positive and finite, but a denominator of the velocity
+        # or the phase scale underflows to zero.
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"N = 16\n{line}\n")
+        code = main(["--config", str(cfg_file), "--qubit", "none",
+                     "--csv", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_unallocatable_grid_is_a_runtime_error(self, tmp_path, capsys):
+        # numpy refuses the 7 PiB grid before allocating anything.
+        code = main(["--n", str(10**15), "--qubit", "none", "--csv", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: Unable to allocate")
+
+    # Extreme values overflow inside numpy before the run reports a non-finite amplitude.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(content=fuzzed_config_file())
+    def test_fuzzed_config_files_end_in_an_exit_code(self, tmp_path_factory, content):
+        directory = tmp_path_factory.getbasetemp() / "fuzz"
+        directory.mkdir(exist_ok=True)
+        cfg_file, out = directory / "run.cfg", directory / "o.csv"
+        cfg_file.write_bytes(content)
+        out.unlink(missing_ok=True)
+        try:
+            ds.ExperimentConfig(**read_config_file(cfg_file))
+            rejected = False
+        except ValueError:      # ConfigError and UnicodeDecodeError are ValueErrors
+            rejected = True
+        try:
+            code = main(["--config", str(cfg_file), "--qubit", "none", "--csv", str(out)])
+        except SystemExit as exc:
+            code = exc.code
+        assert code in ((2,) if rejected else (0, 1))
+        if code == 0:
+            _, density = ds.read_profile_csv(out)
+            assert np.all(np.isfinite(density)) and np.all(density >= 0)
 
     def test_unwritable_output_is_a_runtime_error(self, tmp_path):
         target = tmp_path / "no" / "such" / "dir" / "out.csv"

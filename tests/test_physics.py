@@ -74,6 +74,11 @@ class TestDerive:
     def test_transit_time(self, paper_derived):
         assert paper_derived.transit_time == pytest.approx(TRANSIT_TIME, rel=1e-15)
 
+    def test_phase_scale(self, paper_config, paper_derived):
+        # c = m/(2*hbar*L/v) = pi/(lambda*L)
+        assert paper_derived.phase_scale == pytest.approx(
+            math.pi / (paper_config.wavelength * paper_config.wall_to_screen), rel=1e-14)
+
     @pytest.mark.parametrize("n", [2, 16, 250, 2000])
     def test_discrete_slit_pmf_normalization(self, n):
         cfg = ds.ExperimentConfig(n_positions=n)
@@ -183,6 +188,7 @@ class TestKernel:
 
     def test_non_finite_raises(self, paper_config):
         broken = ds.DerivedQuantities(velocity=1.0, delta_slit=1.0, delta_screen=1.0,
-                                      slit_amplitude=1.0, transit_time=float("nan"))
+                                      slit_amplitude=1.0, transit_time=float("nan"),
+                                      phase_scale=1.0)
         with pytest.raises(SimulationError):
             ds.kernel(0.1, 0.0, paper_config, broken)

@@ -212,13 +212,14 @@ class TestAccumulate:
 
     def test_huge_thread_count_starts_no_thread(self, monkeypatch):
         cfg = ds.ExperimentConfig(n_positions=16)
-        serial = ds.simulate_all(cfg, threads=1)
+        serial = {b: _field(cfg, b, threads=1) for b in QubitBehavior}
         started = []
         monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
-        profiles = ds.simulate_all(cfg, threads=10**6)
+        fields = {b: _field(cfg, b, threads=10**6) for b in QubitBehavior}
         assert started == []
         for b in QubitBehavior:
-            assert profiles[b].density.tobytes() == serial[b].density.tobytes()
+            assert fields[b].lower.tobytes() == serial[b].lower.tobytes()
+            assert fields[b].upper.tobytes() == serial[b].upper.tobytes()
 
     def test_grid_size_mismatch_rejected(self, paper_config, config_250):
         derived = ds.derive(paper_config)
