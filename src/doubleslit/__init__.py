@@ -11,7 +11,7 @@ from .analysis import (AnalyticPredictions, CheckResult, ValidationReport,
                        fringe_spacing, total_probability, validate)
 from .errors import AnalysisError, ConfigError, SimulationError
 from .physics import (DerivedQuantities, ExperimentConfig, GeometryMode, Grids,
-                      build_grids, derive, kernel, kernel_prefactor)
+                      build_grids, derive, kernel_prefactor)
 from .propagation import (AmplitudeField, IntensityProfile, accumulate, intensity,
                           simulate, simulate_all, slit_sums)
 from .qubit import (QubitBehavior, TransitionMask, build_mask, interference_possible,
@@ -48,7 +48,6 @@ __all__ = [
     "intensity",
     "interference_possible",
     "is_allowed",
-    "kernel",
     "kernel_prefactor",
     "profile_svg",
     "read_config_file",

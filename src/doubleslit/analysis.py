@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-import scipy.signal
 
 from .errors import AnalysisError
 from .physics import ExperimentConfig, derive
@@ -85,10 +84,55 @@ def find_peaks(profile: IntensityProfile,
     density = np.asarray(profile.density)
     if density.size == 0:
         raise AnalysisError("empty profile")
-    _, props = scipy.signal.find_peaks(density, prominence=0.0, plateau_size=1)
-    left = props["left_edges"]
-    keep = props["prominences"] > min_prominence_fraction * density.max()
+    _, left, prominences = _maxima(density)
+    keep = prominences > min_prominence_fraction * density.max()
     return [(float(profile.positions[i]), float(density[i])) for i in left[keep]]
+
+
+def _maxima(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(peaks, left_edges, prominences) of the strict local maxima of a finite 1-D ``x``.
+
+    A maximum is a plateau of one or more equal samples entered by a rise and
+    left by a fall, so plateaus touching either end do not count; its peak is
+    the plateau's middle sample, rounded down.  A peak's topographic
+    prominence is its height above the higher of two minima: the lowest
+    sample between it and the nearest strictly higher sample (or the end) on
+    each side.  tests/test_analysis.py holds all three bit for bit against a
+    reference peak finder that uses these definitions.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    rise = x[:-1] < x[1:]
+    moves = np.flatnonzero(rise | (x[:-1] > x[1:]))      # the steps that change x
+    up = rise[moves]
+    maximum = up[:-1] & ~up[1:]                             # a rise, then a fall
+    left, right = moves[:-1][maximum] + 1, moves[1:][maximum]
+    peaks = (left + right) // 2
+    if peaks.size == 0:
+        return peaks, left, np.zeros(0)
+    # Segment k runs from peak k-1 (or the start) up to peak k.  x falls, then rises
+    # in each, so a scan outward from a peak passes a segment's minimum before it can
+    # meet a higher sample, and it ends short of the first strictly higher peak.
+    segment_min = np.minimum.reduceat(x, np.concatenate(([0], peaks)))
+    heights = x[peaks]
+    left_min = _lowest_until_higher(heights, segment_min[:-1])
+    right_min = _lowest_until_higher(heights[::-1], segment_min[:0:-1])[::-1]
+    return peaks, left, heights - np.maximum(left_min, right_min)
+
+
+def _lowest_until_higher(heights: np.ndarray, segment_min: np.ndarray) -> np.ndarray:
+    """For each peak, the minimum of ``segment_min`` from its own segment back to the
+    segment after the nearest strictly higher earlier peak, or to the first segment.
+
+    A stack of the peaks not yet overtopped merges each lower-or-equal peak's
+    minimum into the next higher one, so every peak is pushed and popped once.
+    """
+    heights, lowest = heights.tolist(), segment_min.tolist()
+    stack: list[int] = []
+    for k, height in enumerate(heights):
+        while stack and heights[stack[-1]] <= height:
+            lowest[k] = min(lowest[k], lowest[stack.pop()])
+        stack.append(k)
+    return np.array(lowest)
 
 
 def fringe_spacing(peaks: Sequence[tuple[float, float]],

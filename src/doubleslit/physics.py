@@ -35,7 +35,6 @@ __all__ = [
     "derive",
     "build_grids",
     "kernel_prefactor",
-    "kernel",
 ]
 
 
@@ -168,6 +167,7 @@ class Grids:
         return self.slit_positions[self.slit_positions.size // 2:]
 
 
+@np.errstate(over="ignore", invalid="ignore")   # overflow is reported below, naming the grid
 def build_grids(config: ExperimentConfig, derived: DerivedQuantities) -> Grids:
     """Build screen and slit grids for the configured geometry mode.
 
@@ -176,6 +176,7 @@ def build_grids(config: ExperimentConfig, derived: DerivedQuantities) -> Grids:
     Upper slit (CORRECTED): mirror image of the lower slit.
     Upper slit (PAPER_LITERAL): shifted up by one slit width a relative to
     CORRECTED, reproducing the published indexing formula verbatim.
+    Raises :class:`SimulationError` if either grid has a non-finite position.
     """
     n = config.n_positions
     half = n // 2
@@ -191,8 +192,12 @@ def build_grids(config: ExperimentConfig, derived: DerivedQuantities) -> Grids:
     if config.geometry_mode is GeometryMode.PAPER_LITERAL:
         upper_center += config.slit_width
     upper = upper_center + slit_offsets * derived.delta_slit
+    slit = np.concatenate([lower, upper])
 
-    return Grids(screen_positions=screen, slit_positions=np.concatenate([lower, upper]))
+    for name, grid in (("screen", screen), ("slit", slit)):
+        if not np.all(np.isfinite(grid)):
+            raise SimulationError(f"{name} grid is not finite: its positions overflow float64")
+    return Grids(screen_positions=screen, slit_positions=slit)
 
 
 def kernel_prefactor(config: ExperimentConfig, derived: DerivedQuantities) -> complex:
@@ -204,19 +209,3 @@ def kernel_prefactor(config: ExperimentConfig, derived: DerivedQuantities) -> co
     """
     denom = 2j * math.pi * config.reduced_planck * derived.transit_time
     return cmath.sqrt(config.electron_mass / denom)
-
-
-def kernel(x, x_prime, config: ExperimentConfig, derived: DerivedQuantities):
-    """Free-particle propagator K(x, x') = A * exp(i*m*(x-x')^2 / (2*hbar*L/v)).
-
-    Accepts scalars or broadcastable arrays of positions (meters) and
-    returns complex amplitudes with |K| = |A| for every pair.  Raises
-    :class:`SimulationError` if any output is non-finite, which signals
-    mis-scaled inputs rather than a recoverable condition.
-    """
-    displacement = np.subtract(x, x_prime)
-    out = kernel_prefactor(config, derived) * np.exp(
-        1j * (derived.phase_scale * np.square(displacement)))
-    if not np.all(np.isfinite(out)):
-        raise SimulationError("kernel produced a non-finite amplitude; check input scales")
-    return out

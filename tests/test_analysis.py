@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+import scipy.signal
+from hypothesis import given, settings, strategies as st
 
 import doubleslit as ds
+from doubleslit.analysis import _maxima
 from doubleslit.errors import AnalysisError
 from doubleslit.qubit import QubitBehavior
 
@@ -75,6 +77,38 @@ class TestFindPeaks:
     def test_empty_profile_rejected(self):
         with pytest.raises(AnalysisError):
             ds.find_peaks(synthetic_profile([]))
+
+
+
+def assert_maxima_match_scipy(x):
+    """``_maxima`` equals scipy's peaks, left edges and prominences bit for bit."""
+    peaks, props = scipy.signal.find_peaks(x, prominence=0.0, plateau_size=1)
+    expected = (peaks, props["left_edges"], props["prominences"])
+    for got, want in zip(_maxima(x), expected):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+class TestMaximaMatchScipy:
+    # Few distinct values force plateaus, ties, plateaus at either end,
+    # constant arrays and arrays too short to hold a maximum.
+    @settings(max_examples=500)
+    @given(x=st.lists(st.integers(0, 3), max_size=60))
+    def test_small_integer_arrays(self, x):
+        assert_maxima_match_scipy(np.array(x, dtype=float))
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 3000), decimals=st.integers(0, 2))
+    def test_rounded_random_walks(self, seed, n, decimals):
+        steps = np.random.default_rng(seed).normal(size=n)
+        assert_maxima_match_scipy(np.round(np.cumsum(steps), decimals))
+
+    @pytest.mark.parametrize("n", [250, 2000])
+    @pytest.mark.parametrize("geometry", list(ds.GeometryMode))
+    def test_simulated_profiles(self, n, geometry):
+        cfg = ds.ExperimentConfig(n_positions=n, geometry_mode=geometry)
+        for profile in ds.simulate_all(cfg).values():
+            assert_maxima_match_scipy(profile.density)
 
 
 class TestFringeSpacing:

@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,6 +183,19 @@ class TestRun:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_overflowing_screen_grid_is_a_runtime_error(self, tmp_path, capsys):
+        # Valid bounds, but their midpoint overflows: the run names the screen
+        # grid instead of a non-finite amplitude, and numpy warns of nothing.
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("N = 16\nZmin = 1e308\nZmax = 1.7e308\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["--config", str(cfg_file), "--qubit", "none",
+                         "--csv", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            "error: screen grid is not finite: its positions overflow float64\n"
+
     def test_unallocatable_grid_is_a_runtime_error(self, tmp_path, capsys):
         # numpy refuses the 7 PiB grid before allocating anything.
         code = main(["--n", str(10**15), "--qubit", "none", "--csv", str(tmp_path / "o.csv")])
@@ -212,3 +230,47 @@ class TestRun:
         target = tmp_path / "no" / "such" / "dir" / "out.csv"
         code = main(["--qubit", "none", "--n", "250", "--csv", str(target)])
         assert code == 1
+
+
+# Run in a fresh interpreter: a finder that refuses scipy and scipy.* sits first
+# on sys.meta_path, so any import of scipy on the run's path fails the run.
+BLOCK_SCIPY = """
+import importlib.abc, sys
+
+class RefuseScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"{name} is refused")
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+"""
+LOADED_SCIPY = "[m for m in sys.modules if m.partition('.')[0] == 'scipy']"
+
+
+def _fresh_python(code: str, cwd: Path) -> subprocess.CompletedProcess:
+    src = str(Path(ds.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+
+
+class TestRuntimeDependencies:
+    def test_full_run_needs_no_scipy(self, tmp_path):
+        code = BLOCK_SCIPY + f"""
+from doubleslit.cli import main
+code = main(["--qubit", "all", "--n", "250", "--csv", "p.csv", "--svg", "p.svg",
+             "--masks", "masks", "--report", "R.json"])
+assert not {LOADED_SCIPY}, {LOADED_SCIPY}
+sys.exit(code)
+"""
+        result = _fresh_python(code, tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert (tmp_path / "R.json").exists()
+        assert (tmp_path / "masks" / "mask_remembers.txt").exists()
+
+    def test_import_loads_no_scipy(self, tmp_path):
+        result = _fresh_python(f"import sys, doubleslit, doubleslit.cli; print({LOADED_SCIPY})",
+                               tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"

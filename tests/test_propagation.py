@@ -10,6 +10,7 @@ import doubleslit as ds
 from doubleslit import propagation
 from doubleslit.errors import SimulationError
 from doubleslit.qubit import QubitBehavior
+from reference import kernel
 
 # Frozen oracle: the single lower-slit term at N=2 under the inactive qubit,
 # A * slit_amplitude * exp(i*c*(x'^2 - 2*x*x')) with x' = -d/2 (the amplitude
@@ -81,7 +82,7 @@ def masked_row_reference(config, behavior):
     for slit_half, w in ((grids.lower_slit, weights[:half]), (grids.upper_slit, weights[half:])):
         amp = np.empty((config.n_positions, 2), dtype=complex)
         for i, x in enumerate(grids.screen_positions):
-            terms = ds.kernel(x, slit_half, config, derived) * derived.slit_amplitude
+            terms = kernel(x, slit_half, config, derived) * derived.slit_amplitude
             for e in range(2):
                 amp[i, e] = (terms * w[:, e]).cumsum()[-1]
         fields.append(amp)
