@@ -3,11 +3,15 @@
 :func:`slit_sums` computes once per config each slit's sum of kernel *
 slit_amplitude at every screen point x, less the factor exp(i*c*x^2) that all
 amplitudes at x share (Goodman, *Introduction to Fourier Optics*, ch. 4), as
-one complex matrix product per slit half.  A qubit behavior only routes each
-whole sum into one screen qubit state e (:func:`doubleslit.qubit.screen_state`);
-:func:`accumulate` does both for one behavior, and :func:`simulate_all`
-reroutes that one pass for the others.  ``accumulate``'s ``threads`` is
-accepted and ignored; the matrix products run on BLAS's own threads.
+chunked complex matrix products per slit half.  Both grids are uniform, so the
+bilinear phase -2c*x*x' factors into block, step, chunk-head and offset
+terms; the block-by-offset and step-by-offset tables are computed once per
+pass and shared by every chunk of both halves.  A qubit behavior only routes
+each whole sum into one screen qubit state e
+(:func:`doubleslit.qubit.screen_state`); :func:`accumulate` does both for one
+behavior, and :func:`simulate_all` reroutes that one pass for the others.
+``accumulate``'s ``threads`` is accepted and ignored; the matrix products run
+on BLAS's own threads.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ __all__ = [
 ]
 
 CHUNK = 512   # slit columns per matrix product; it fixes the summation order and so the bits
+PHASE_LIMIT = 1e-6 * 2.0 ** 53   # rad: float64 rounds a larger phase by more than 1e-6 rad
 
 
 @dataclass(frozen=True)
@@ -62,18 +67,30 @@ class IntensityProfile:
     config: ExperimentConfig
 
 
-def _half_sums(blocks: np.ndarray, steps: np.ndarray, slit_half: np.ndarray,
-               c: float, weight: complex) -> np.ndarray:
-    """weight * sum_k exp(i*c*(x'_k^2 - 2*x*x'_k)) at x = blocks[b] + steps[r], shape (B, R):
-    V @ E^T over ascending slit chunks, V[b, k] = weight*exp(i*c*(x'_k^2 - 2*blocks[b]*x'_k)),
-    E[r, k] = exp(-2i*c*steps[r]*x'_k); B + R exps per slit point, not B*R, of phases of tens
-    of rad, not the kernel's ~5e8."""
+def _split(grid: np.ndarray, stride: int, spacing: float,
+           name: str) -> tuple[np.ndarray, np.ndarray]:
+    """(heads, offsets) with grid[s*stride + t] = heads[s] + offsets[t], offsets = t*spacing.
+    Raises ``ValueError`` if the grid is off that uniform one by > 8 ulp of its max |x|."""
+    heads, offsets = grid[::stride], np.arange(stride) * spacing
+    deviation = np.abs(np.add.outer(heads, offsets).ravel()[:grid.size] - grid).max()
+    if deviation > 8 * np.spacing(np.abs(grid).max()):
+        raise ValueError(f"{name} grid is not uniform (off by {deviation:.3e} m)")
+    return heads, offsets
+
+
+def _half_sums(blocks: np.ndarray, steps: np.ndarray, f: np.ndarray, g: np.ndarray,
+               heads: np.ndarray, q: np.ndarray, c: float) -> np.ndarray:
+    """sum_k q[k] * exp(-2i*c*x*x'_k) at x = blocks[b] + steps[r], shape (B, R), for the slit
+    half x'_k = heads[s] + offsets[t], k = s*CHUNK + t.  Each ascending chunk s adds
+    v_s[b] * ((F * q_s) @ G^T)[b, r] * e_s[r] with v_s = exp(-2i*c*blocks*heads[s]) and
+    e_s = exp(-2i*c*steps*heads[s]); F = exp(-2i*c*blocks (x) offsets) and
+    G = exp(-2i*c*steps (x) offsets) are computed once per pass, so a chunk takes B + R exps."""
     out = np.zeros((blocks.size, steps.size), dtype=np.complex128)
-    for k in range(0, slit_half.size, CHUNK):
-        xp = slit_half[k:k + CHUNK]
-        v = weight * np.exp(1j * (c * (xp * xp - 2.0 * np.multiply.outer(blocks, xp))))
-        e = np.exp(1j * (-2.0 * c * np.multiply.outer(steps, xp)))
-        out += v @ e.T
+    for s, head in enumerate(heads):
+        qs = q[s * CHUNK:(s + 1) * CHUNK]
+        v = np.exp(1j * (-2.0 * c * head * blocks))
+        e = np.exp(1j * (-2.0 * c * head * steps))
+        out += v[:, None] * ((f[:, :qs.size] * qs) @ g[:, :qs.size].T) * e
     return out
 
 
@@ -81,18 +98,29 @@ def slit_sums(config: ExperimentConfig, derived: DerivedQuantities,
               grids: Grids) -> tuple[np.ndarray, np.ndarray]:
     """(S_lower, S_upper): A * slit_amplitude * sum over each slit of exp(i*c*(x'^2 - 2*x*x'))
     at every screen position x.  Raises ``ValueError`` if the grids do not match the config
-    or the screen grid is off a uniform one of spacing ``derived.delta_screen`` by > 8 ulp."""
+    or a grid is off a uniform one by > 8 ulp, and :class:`SimulationError` if the largest
+    engine phase P = c*max|x'|*(2*max|x| + max|x'|) is not finite or exceeds ``PHASE_LIMIT``."""
     n = config.n_positions
     if grids.screen_positions.size != n or grids.slit_positions.size != n:
         raise ValueError("grids do not match config.n_positions")
+    c = derived.phase_scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_max, xp_max = np.abs(grids.screen_positions).max(), np.abs(grids.slit_positions).max()
+        phase = c * xp_max * (2.0 * x_max + xp_max)
+    if not phase <= PHASE_LIMIT:
+        raise SimulationError(f"largest engine phase {phase:.3e} rad exceeds {PHASE_LIMIT:.3e} "
+                              f"rad, beyond which float64 rounds it by more than 1e-6 rad")
     stride = math.isqrt(n)          # screen point j = b*stride + r, 0 <= r < stride
-    blocks, steps = grids.screen_positions[::stride], np.arange(stride) * derived.delta_screen
-    deviation = np.abs(np.add.outer(blocks, steps).ravel()[:n] - grids.screen_positions).max()
-    if deviation > 8 * np.spacing(np.abs(grids.screen_positions).max()):
-        raise ValueError(f"screen grid is not uniform (off by {deviation:.3e} m)")
+    blocks, steps = _split(grids.screen_positions, stride, derived.delta_screen, "screen")
+    width = min(CHUNK, n // 2)      # slit point k = s*CHUNK + t, 0 <= t < width
+    lower_heads, offsets = _split(grids.lower_slit, width, derived.delta_slit, "lower-slit")
+    upper_heads, _ = _split(grids.upper_slit, width, derived.delta_slit, "upper-slit")
+    f = np.exp(1j * (-2.0 * c * np.multiply.outer(blocks, offsets)))
+    g = np.exp(1j * (-2.0 * c * np.multiply.outer(steps, offsets)))
     weight = kernel_prefactor(config, derived) * derived.slit_amplitude
-    return tuple(_half_sums(blocks, steps, h, derived.phase_scale, weight).ravel()[:n]
-                 for h in (grids.lower_slit, grids.upper_slit))
+    halves = ((lower_heads, grids.lower_slit), (upper_heads, grids.upper_slit))
+    return tuple(_half_sums(blocks, steps, f, g, heads, weight * np.exp(1j * (c * (h * h))),
+                            c).ravel()[:n] for heads, h in halves)
 
 
 def _routed_field(sums: tuple[np.ndarray, np.ndarray], behavior: QubitBehavior,

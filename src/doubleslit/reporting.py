@@ -33,8 +33,8 @@ def write_profile_csv(profile: IntensityProfile, path) -> None:
     """One row per screen position, ascending x, 17 significant digits, LF endings."""
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
-        for x, p in zip(profile.positions, profile.density):
-            fh.write(f"{x:.17g},{p:.17g}\n")
+        rows = np.column_stack((profile.positions, profile.density)).ravel().tolist()
+        fh.write("%.17g,%.17g\n" * profile.positions.size % tuple(rows))
 
 
 def read_profile_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -68,13 +68,13 @@ def profile_svg(profile: IntensityProfile) -> str:
     plot_w = _SVG_WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _SVG_HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
-    def px(x: float) -> float:
+    def px(x):      # a float or an array, with the same rounding
         return _MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
 
-    def py(y: float) -> float:
+    def py(y):
         return _SVG_HEIGHT - _MARGIN_BOTTOM - (y - y_lo) / (y_hi - y_lo) * plot_h
 
-    points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+    points = " ".join(map("{:.2f},{:.2f}".format, px(xs).tolist(), py(ys).tolist()))
     title = f"qubit behavior: {profile.behavior.value}"
 
     parts = [

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -196,14 +197,29 @@ class TestRun:
         assert capsys.readouterr().err == \
             "error: screen grid is not finite: its positions overflow float64\n"
 
+    @pytest.mark.parametrize("bound, phase", [("1e307", "inf"), ("1e300", r"\d\.\d{3}e\+302")])
+    def test_phase_beyond_float64_is_a_runtime_error(self, tmp_path, capsys, bound, phase):
+        # Finite grids whose largest engine phase overflows, or is finite but far
+        # beyond what float64 carries to 1e-6 rad: the run names the phase, and numpy
+        # warns of nothing.
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"N = 16\nZmin = -{bound}\nZmax = {bound}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["--config", str(cfg_file), "--qubit", "none",
+                         "--csv", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert re.match(f"error: largest engine phase {phase} rad .*\n$", capsys.readouterr().err)
+        assert not (tmp_path / "o.csv").exists()
+
     def test_unallocatable_grid_is_a_runtime_error(self, tmp_path, capsys):
         # numpy refuses the 7 PiB grid before allocating anything.
         code = main(["--n", str(10**15), "--qubit", "none", "--csv", str(tmp_path / "o.csv")])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: Unable to allocate")
 
-    # Extreme values overflow inside numpy before the run reports a non-finite amplitude.
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # Extreme values end in an error line before numpy can overflow: no RuntimeWarning.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=300, deadline=None)
     @given(content=fuzzed_config_file())
     def test_fuzzed_config_files_end_in_an_exit_code(self, tmp_path_factory, content):

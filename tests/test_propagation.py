@@ -1,4 +1,6 @@
+import math
 import threading
+import warnings
 
 import mpmath
 import numpy as np
@@ -113,6 +115,13 @@ class TestAccumulate:
     def test_sampled_points_match_oracle_at_n2000(self, geometry):
         cfg = ds.ExperimentConfig(n_positions=2000, geometry_mode=geometry)
         assert_matches_oracle(cfg, np.linspace(0, 1999, 12).astype(int))
+
+    # At N=1026 and 2050 the last chunk of each slit half is one point.
+    @pytest.mark.parametrize("n", [1026, 2050, 8000])
+    @pytest.mark.parametrize("geometry", list(ds.GeometryMode))
+    def test_sampled_points_match_oracle_over_many_chunks(self, n, geometry):
+        cfg = ds.ExperimentConfig(n_positions=n, geometry_mode=geometry)
+        assert_matches_oracle(cfg, np.linspace(0, n - 1, 12).astype(int))
 
     def test_inactive_qubit_leaves_second_state_empty(self, config_250):
         field = _field(config_250, QubitBehavior.NONE)
@@ -238,6 +247,63 @@ class TestAccumulate:
         bent = ds.Grids(screen_positions=screen, slit_positions=grids.slit_positions)
         with pytest.raises(ValueError, match="not uniform"):
             ds.slit_sums(cfg, derived, bent)
+
+    # Each chunk's first point is its own head and so factors exactly; a bent head shows in
+    # the chunk's other points (a one-point chunk, like index 1024 at N=2050, has none).
+    @pytest.mark.parametrize("n, index", [(16, 0), (16, 7), (16, 8), (16, 15),
+                                          (2050, 1023), (2050, 1025)])
+    def test_non_uniform_slit_grid_rejected(self, n, index):
+        cfg = ds.ExperimentConfig(n_positions=n)
+        derived = ds.derive(cfg)
+        grids = ds.build_grids(cfg, derived)
+        slit = grids.slit_positions.copy()
+        slit[index] += 1e-6 * derived.delta_slit
+        bent = ds.Grids(screen_positions=grids.screen_positions, slit_positions=slit)
+        half = "lower" if index < n // 2 else "upper"
+        with pytest.raises(ValueError, match=f"{half}-slit grid is not uniform"):
+            ds.slit_sums(cfg, derived, bent)
+
+    @pytest.mark.parametrize("bound", [1e307, 1e300, 1e8])
+    def test_phase_beyond_float64_rejected(self, bound):
+        # 1e307: the phase overflows; 1e300 and 1e8: finite, but float64 rounds it by more
+        # than 1e-6 rad (the limit is about 9.0e9 rad; the reference config reaches 29 rad).
+        cfg = ds.ExperimentConfig(n_positions=16, screen_min=-bound, screen_max=bound)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationError,
+                               match=r"largest engine phase (inf|\d\.\d{3}e\+\d+) rad"):
+                ds.simulate_all(cfg)
+
+    def test_phase_just_inside_the_limit_is_served(self):
+        # P = 2c*Z*max|x'| + c*max x'^2 for the screen [-Z, Z]; choose P = 8e9 rad.
+        cfg = ds.ExperimentConfig(n_positions=16)
+        derived = ds.derive(cfg)
+        xp = np.abs(ds.build_grids(cfg, derived).slit_positions).max()
+        c = derived.phase_scale
+        # The outermost screen point is at 15/16 Z.
+        bound = (8e9 - c * xp * xp) / (2 * c * xp) * 16 / 15
+        cfg = ds.ExperimentConfig(n_positions=16, screen_min=-bound, screen_max=bound)
+        assert all(np.all(np.isfinite(p.density)) for p in ds.simulate_all(cfg).values())
+
+    def test_exp_count_per_pass(self, monkeypatch):
+        # N + 2(B + R)*ceil(N/1024) + (B + R)*min(512, N/2) complex exps per pass, with
+        # R = isqrt(N) screen steps and B = ceil(N/R) screen blocks.
+        counted = []
+        exp = np.exp
+
+        def counting_exp(z, *args, **kwargs):
+            assert np.iscomplexobj(z)
+            counted.append(np.size(z))
+            return exp(z, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", counting_exp)
+        for n in (2, 16, 1026, 2050, 8000):
+            counted.clear()
+            ds.simulate_all(ds.ExperimentConfig(n_positions=n))
+            r = math.isqrt(n)
+            b = -(-n // r)
+            assert sum(counted) == n + 2 * (b + r) * -(-n // 1024) + (b + r) * min(512, n // 2)
+        assert sum(counted) == 102_512
 
     def test_non_finite_amplitude_names_the_cell(self, config_250, monkeypatch):
         def broken_half_sums(blocks, steps, *args):

@@ -7,6 +7,15 @@ import pytest
 import doubleslit as ds
 from doubleslit.qubit import QubitBehavior
 from doubleslit.reporting import CSV_HEADER
+from reference import profile_csv_rows, svg_points
+
+
+@pytest.fixture(scope="module", params=[16, 250, 2000])
+def profiles_by_n(request):
+    """Every behavior's profile at N 16, 250 and 2000."""
+    if request.param == 16:
+        return ds.simulate_all(ds.ExperimentConfig(n_positions=16))
+    return request.getfixturevalue(f"profiles_{request.param}")
 
 
 class TestCsv:
@@ -35,6 +44,39 @@ class TestCsv:
         path.write_text("x,y\n0,0\n")
         with pytest.raises(ValueError):
             ds.read_profile_csv(path)
+
+
+class TestEmittersMatchPerRowFormatting:
+    """The emitters format whole arrays at once; their bytes equal the per-row reference's."""
+
+    def test_csv_profiles(self, profiles_by_n, tmp_path):
+        for behavior, profile in profiles_by_n.items():
+            path = tmp_path / f"{behavior.value}.csv"
+            ds.write_profile_csv(profile, path)
+            expected = CSV_HEADER + "\n" + profile_csv_rows(profile.positions, profile.density)
+            assert path.read_bytes() == expected.encode("ascii")
+
+    @pytest.mark.parametrize("values", [
+        [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e-310, 1e308, -1e308,
+         1.7976931348623157e308, 0.1, 1 / 3],
+        [-1e308, -0.0],
+    ])
+    def test_csv_edge_values(self, values, tmp_path):
+        xs = np.array(values)
+        ps = np.abs(xs[::-1])
+        profile = ds.IntensityProfile(positions=xs, density=ps, behavior=QubitBehavior.NONE,
+                                      config=ds.ExperimentConfig(n_positions=2))
+        path = tmp_path / "edge.csv"
+        ds.write_profile_csv(profile, path)
+        assert path.read_bytes() == (CSV_HEADER + "\n" + profile_csv_rows(xs, ps)).encode("ascii")
+        back_x, back_p = ds.read_profile_csv(path)
+        assert back_x.tobytes() == xs.tobytes() and back_p.tobytes() == ps.tobytes()
+
+    def test_svg_points(self, profiles_by_n):
+        for profile in profiles_by_n.values():
+            svg = ds.profile_svg(profile)
+            expected = f'points="{svg_points(profile.positions, profile.density)}"/>'
+            assert svg.count("<polyline") == 1 and expected in svg
 
 
 class TestSvg:
