@@ -8,7 +8,7 @@ on simulated profiles and compares them at fixed tolerances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -152,19 +152,18 @@ def fringe_spacing(peaks: Sequence[tuple[float, float]],
 
 def find_first_minimum(profile: IntensityProfile) -> float:
     """Position of the first strict local minimum right of the global maximum."""
-    density = profile.density
-    start = int(np.argmax(density))
-    for i in range(start + 1, density.size - 1):
-        if density[i] < density[i - 1] and density[i] < density[i + 1]:
-            return float(profile.positions[i])
-    raise AnalysisError("no local minimum found beyond the global maximum")
+    start = int(np.argmax(profile.density))
+    tail = profile.density[start:]
+    inner = tail[1:-1]
+    minima = np.flatnonzero((inner < tail[:-2]) & (inner < tail[2:]))
+    if minima.size == 0:
+        raise AnalysisError("no local minimum found beyond the global maximum")
+    return float(profile.positions[start + 1 + minima[0]])
 
 
 def total_probability(profile: IntensityProfile) -> float:
     """Probability mass registered on the screen: sum of density * delta_screen."""
-    cfg = profile.config
-    delta = (cfg.screen_max - cfg.screen_min) / cfg.n_positions
-    return float(profile.density.sum() * delta)
+    return float(profile.density.sum() * derive(profile.config).delta_screen)
 
 
 @dataclass(frozen=True)
@@ -191,21 +190,11 @@ class ValidationReport:
         return all(c.passed for c in self.checks)
 
     def to_dict(self) -> dict:
-        cfg = self.config
+        config = {f.name: getattr(self.config, f.name) for f in fields(self.config)}
+        config["geometry_mode"] = self.config.geometry_mode.value
         checks = {c.name: c for c in self.checks}
         return {
-            "config": {
-                "electron_mass": cfg.electron_mass,
-                "wavelength": cfg.wavelength,
-                "planck": cfg.planck,
-                "slit_width": cfg.slit_width,
-                "slit_separation": cfg.slit_separation,
-                "wall_to_screen": cfg.wall_to_screen,
-                "screen_min": cfg.screen_min,
-                "screen_max": cfg.screen_max,
-                "n_positions": cfg.n_positions,
-                "geometry_mode": cfg.geometry_mode.value,
-            },
+            "config": config,
             "totals": dict(self.totals),
             "interference": dict(self.interference),
             "measured": {f: checks[name].measured for f, name in _FEATURE_CHECKS.items()},

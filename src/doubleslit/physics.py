@@ -150,9 +150,7 @@ class Grids:
     arrays are built from exact half-integer multiples of the spacing around
     exact centers, so for a screen symmetric about zero the grids are
     bitwise antisymmetric: x[N-1-k] == -x[k].  The intensity mirror symmetry
-    of the corrected geometry inherits this exactness; a naive evaluation of
-    the textbook indexing formula loses it (the full kernel phases are ~1e8
-    radians, so there a one-ulp grid asymmetry is visible in the profile).
+    of the corrected geometry inherits this exactness.
     """
 
     screen_positions: np.ndarray
@@ -176,7 +174,9 @@ def build_grids(config: ExperimentConfig, derived: DerivedQuantities) -> Grids:
     Upper slit (CORRECTED): mirror image of the lower slit.
     Upper slit (PAPER_LITERAL): shifted up by one slit width a relative to
     CORRECTED, reproducing the published indexing formula verbatim.
-    Raises :class:`SimulationError` if either grid has a non-finite position.
+    Raises :class:`SimulationError` if either grid has a non-finite position,
+    or if the screen positions are not strictly increasing because float64
+    cannot resolve delta_screen at the window's magnitude.
     """
     n = config.n_positions
     half = n // 2
@@ -197,6 +197,10 @@ def build_grids(config: ExperimentConfig, derived: DerivedQuantities) -> Grids:
     for name, grid in (("screen", screen), ("slit", slit)):
         if not np.all(np.isfinite(grid)):
             raise SimulationError(f"{name} grid is not finite: its positions overflow float64")
+    if not np.all(screen[1:] > screen[:-1]):
+        raise SimulationError(f"screen grid is not strictly increasing: float64 cannot resolve "
+                              f"its spacing of {derived.delta_screen:.3e} m near "
+                              f"{screen_mid:.17g} m")
     return Grids(screen_positions=screen, slit_positions=slit)
 
 

@@ -6,18 +6,18 @@ amplitudes at x share (Goodman, *Introduction to Fourier Optics*, ch. 4), as
 chunked complex matrix products per slit half.  Both grids are uniform, so the
 bilinear phase -2c*x*x' factors into block, step, chunk-head and offset
 terms; the block-by-offset and step-by-offset tables are computed once per
-pass and shared by every chunk of both halves.  A qubit behavior only routes
-each whole sum into one screen qubit state e
-(:func:`doubleslit.qubit.screen_state`); :func:`accumulate` does both for one
-behavior, and :func:`simulate_all` reroutes that one pass for the others.
-``accumulate``'s ``threads`` is accepted and ignored; the matrix products run
-on BLAS's own threads.
+pass and shared by every chunk of both halves.  An :class:`AmplitudeField`
+carries the two (N,) sums and a behavior label; :func:`intensity` routes each
+whole sum into one screen qubit state e (:func:`doubleslit.qubit.screen_state`),
+so :func:`simulate_all` serves every behavior from one :func:`accumulate` by
+relabelling the field.  ``accumulate``'s ``threads`` is accepted and ignored;
+the matrix products run on BLAS's own threads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,10 +42,11 @@ PHASE_LIMIT = 1e-6 * 2.0 ** 53   # rad: float64 rounds a larger phase by more th
 
 @dataclass(frozen=True)
 class AmplitudeField:
-    """Per-(screen position, qubit state) marginal amplitudes, one array per slit.
+    """The two slit sums at the screen, labelled with the qubit behavior that routes them.
 
-    ``lower`` and ``upper`` have shape (N, 2); column 0 is screen qubit
-    state e=1, column 1 is e=2.  Units are m^(-1/2) (amplitude density).
+    ``lower`` and ``upper`` are :func:`slit_sums`' (N,) arrays; :func:`intensity`
+    sends each to the screen qubit state ``behavior`` assigns its slit.  Units
+    are m^(-1/2) (amplitude density).
     Entries at screen position x omit the kernel's common factor
     exp(i*c*x^2), c = m/(2*hbar*L/v); its modulus is 1, so no intensity changes.
     """
@@ -123,46 +124,33 @@ def slit_sums(config: ExperimentConfig, derived: DerivedQuantities,
                             c).ravel()[:n] for heads, h in halves)
 
 
-def _routed_field(sums: tuple[np.ndarray, np.ndarray], behavior: QubitBehavior,
-                  positions: np.ndarray, config: ExperimentConfig) -> AmplitudeField:
-    """Each slit's sum in the column of the screen state ``behavior`` routes it to."""
-    fields = []
-    for half, total in zip(("lower", "upper"), sums):
-        e = screen_state(behavior, half)
-        bad = np.flatnonzero(~np.isfinite(total))
-        if bad.size:
-            raise SimulationError(
-                f"non-finite {half}-slit amplitude at screen index {bad[0] + 1}, qubit state {e}")
-        fields.append(np.zeros((total.size, 2), dtype=np.complex128))
-        fields[-1][:, e - 1] = total
-    return AmplitudeField(*fields, behavior=behavior, positions=positions, config=config)
-
-
-def _rerouted(field: AmplitudeField, behavior: QubitBehavior) -> AmplitudeField:
-    """``field``'s two slit sums, routed as ``behavior`` routes them."""
-    sums = (field.lower[:, screen_state(field.behavior, "lower") - 1],
-            field.upper[:, screen_state(field.behavior, "upper") - 1])
-    return _routed_field(sums, behavior, field.positions, field.config)
-
-
 def accumulate(config: ExperimentConfig, derived: DerivedQuantities, grids: Grids,
                behavior: QubitBehavior, *, threads: int = 1) -> AmplitudeField:
-    """Marginal slit amplitudes at the screen under a qubit behavior:
-    :func:`slit_sums`, each routed into one screen qubit state.  ``threads`` is ignored."""
+    """:func:`slit_sums` as an amplitude field for ``behavior``; ``threads`` is ignored.
+    Raises :class:`SimulationError` naming the first non-finite cell of either sum."""
     sums = slit_sums(config, derived, grids)
-    return _routed_field(sums, behavior, grids.screen_positions, config)
+    for half, total in zip(("lower", "upper"), sums):
+        bad = np.flatnonzero(~np.isfinite(total))
+        if bad.size:
+            raise SimulationError(f"non-finite {half}-slit amplitude at screen index "
+                                  f"{bad[0] + 1}, qubit state {screen_state(behavior, half)}")
+    return AmplitudeField(*sums, behavior=behavior, positions=grids.screen_positions,
+                          config=config)
 
 
 def intensity(field: AmplitudeField) -> IntensityProfile:
     """Standalone probability density from an amplitude field.
 
-    Amplitudes feeding the same screen configuration add coherently; the
-    two screen qubit states are exclusive and their probabilities add.
+    Slit sums routed to the same screen qubit state add coherently; the two
+    screen qubit states are exclusive and their probabilities add.
     """
-    totals = field.lower + field.upper
-    if not np.all(np.isfinite(totals)):
+    states: dict[int, np.ndarray] = {}      # screen qubit state e -> its amplitude
+    for half, total in (("lower", field.lower), ("upper", field.upper)):
+        e = screen_state(field.behavior, half)
+        states[e] = states.get(e, 0) + total
+    if not all(np.all(np.isfinite(amplitude)) for amplitude in states.values()):
         raise SimulationError("amplitude field contains non-finite entries")
-    density = (totals.real ** 2 + totals.imag ** 2).sum(axis=1)
+    density = sum(amplitude.real ** 2 + amplitude.imag ** 2 for amplitude in states.values())
     if (density < 0).any():
         # unreachable for a modulus-squared construction; signals an arithmetic fault
         raise SimulationError("negative probability density")
@@ -184,4 +172,4 @@ def simulate_all(config: ExperimentConfig, *,
     if not behaviors:
         return {}
     field = accumulate(config, derived, grids, behaviors[0])
-    return {b: intensity(_rerouted(field, b)) for b in behaviors}
+    return {b: intensity(replace(field, behavior=b)) for b in behaviors}

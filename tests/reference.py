@@ -3,7 +3,7 @@
 import numpy as np
 
 from doubleslit import reporting as r
-from doubleslit.errors import SimulationError
+from doubleslit.errors import AnalysisError, SimulationError
 from doubleslit.physics import DerivedQuantities, ExperimentConfig, kernel_prefactor
 
 
@@ -44,3 +44,14 @@ def svg_points(positions, density) -> str:
         return r._SVG_HEIGHT - r._MARGIN_BOTTOM - (y - y_lo) / (y_hi - y_lo) * plot_h
 
     return " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(positions, density))
+
+
+def first_minimum(profile) -> float:
+    """``find_first_minimum`` as a scan one sample at a time: the position of the first
+    strict local minimum right of the global maximum."""
+    density = profile.density
+    start = int(np.argmax(density))
+    for i in range(start + 1, density.size - 1):
+        if density[i] < density[i - 1] and density[i] < density[i + 1]:
+            return float(profile.positions[i])
+    raise AnalysisError("no local minimum found beyond the global maximum")

@@ -180,10 +180,9 @@ def test_c07_remembers_decomposition(paper_config, report_2000):
     grids = ds.build_grids(paper_config, derived)
     field = ds.accumulate(paper_config, derived, grids, QubitBehavior.REMEMBERS)
     profile = ds.intensity(field)
-    incoherent = (field.upper[:, 0].real ** 2 + field.upper[:, 0].imag ** 2
-                  + field.lower[:, 1].real ** 2 + field.lower[:, 1].imag ** 2)
-    no_cross_term = bool(np.all(np.abs(profile.density - incoherent)
-                                <= 1e-12 * np.abs(incoherent)))
+    incoherent = ((field.upper.real ** 2 + field.upper.imag ** 2)
+                  + (field.lower.real ** 2 + field.lower.imag ** 2))
+    no_cross_term = profile.density.tobytes() == incoherent.tobytes()
     flags = report_2000.interference
     flags_ok = (flags["remembers"] is False and flags["none"] is True
                 and flags["forgets"] is True)

@@ -9,6 +9,7 @@ import doubleslit as ds
 from doubleslit.analysis import _maxima
 from doubleslit.errors import AnalysisError
 from doubleslit.qubit import QubitBehavior
+from reference import first_minimum
 
 
 def synthetic_profile(density, positions=None, config=None,
@@ -141,6 +142,20 @@ class TestFindFirstMinimum:
     def test_scans_rightward_from_global_maximum(self):
         density = [0.2, 0.1, 5, 1, 0.5, 2, 1]   # minimum at index 4
         assert ds.find_first_minimum(synthetic_profile(density)) == 4.0
+
+    # Few distinct values force plateaus, ties, a maximum at either end and, with
+    # lengths 1-3, profiles too short to hold an inner sample.
+    @settings(max_examples=500)
+    @given(x=st.lists(st.integers(0, 3), min_size=1, max_size=40))
+    def test_matches_per_sample_scan(self, x):
+        profile = synthetic_profile(x)
+        try:
+            expected = first_minimum(profile)
+        except AnalysisError:
+            with pytest.raises(AnalysisError, match="no local minimum"):
+                ds.find_first_minimum(profile)
+        else:
+            assert ds.find_first_minimum(profile) == expected
 
 
 class TestTotalProbability:

@@ -197,6 +197,23 @@ class TestRun:
         assert capsys.readouterr().err == \
             "error: screen grid is not finite: its positions overflow float64\n"
 
+    @pytest.mark.parametrize("n, zmax, output", [(2, "1.0000000000000002", "--svg"),
+                                                 (16, "1.000000000000001", "--csv")])
+    def test_unresolvable_screen_grid_is_a_runtime_error(self, tmp_path, capsys, n, zmax,
+                                                         output):
+        # A window too narrow for float64 near 1 would repeat screen positions: the
+        # SVG's x scale divided by zero and the CSV's x column repeated 1.
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"N = {n}\nZmin = 1.0\nZmax = {zmax}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["--config", str(cfg_file), "--qubit", "none",
+                         output, str(tmp_path / "out")])
+        assert code == 1
+        assert re.fullmatch(r"error: screen grid is not strictly increasing: [^\n]*\n",
+                            capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("bound, phase", [("1e307", "inf"), ("1e300", r"\d\.\d{3}e\+302")])
     def test_phase_beyond_float64_is_a_runtime_error(self, tmp_path, capsys, bound, phase):
         # Finite grids whose largest engine phase overflows, or is finite but far
@@ -225,22 +242,25 @@ class TestRun:
     def test_fuzzed_config_files_end_in_an_exit_code(self, tmp_path_factory, content):
         directory = tmp_path_factory.getbasetemp() / "fuzz"
         directory.mkdir(exist_ok=True)
-        cfg_file, out = directory / "run.cfg", directory / "o.csv"
+        cfg_file, out, svg = directory / "run.cfg", directory / "o.csv", directory / "o.svg"
         cfg_file.write_bytes(content)
         out.unlink(missing_ok=True)
+        svg.unlink(missing_ok=True)
         try:
             ds.ExperimentConfig(**read_config_file(cfg_file))
             rejected = False
         except ValueError:      # ConfigError and UnicodeDecodeError are ValueErrors
             rejected = True
         try:
-            code = main(["--config", str(cfg_file), "--qubit", "none", "--csv", str(out)])
+            code = main(["--config", str(cfg_file), "--qubit", "none", "--csv", str(out),
+                         "--svg", str(svg)])
         except SystemExit as exc:
             code = exc.code
         assert code in ((2,) if rejected else (0, 1))
         if code == 0:
             _, density = ds.read_profile_csv(out)
             assert np.all(np.isfinite(density)) and np.all(density >= 0)
+            assert svg.read_text().endswith("</svg>\n")
 
     def test_unwritable_output_is_a_runtime_error(self, tmp_path):
         target = tmp_path / "no" / "such" / "dir" / "out.csv"

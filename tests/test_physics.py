@@ -166,6 +166,17 @@ class TestGrids:
             with pytest.raises(SimulationError, match=f"^{name} grid is not finite"):
                 ds.build_grids(cfg, derived)
 
+    # Valid windows one and five ulps wide: their cells are narrower than float64 resolves
+    # near 1, so screen positions would repeat.
+    @pytest.mark.parametrize("n, screen_max", [(2, 1.0000000000000002), (16, 1.000000000000001)])
+    def test_unresolvable_screen_grid_is_named(self, n, screen_max):
+        cfg = ds.ExperimentConfig(n_positions=n, screen_min=1.0, screen_max=screen_max)
+        derived = ds.derive(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationError, match="^screen grid is not strictly increasing"):
+                ds.build_grids(cfg, derived)
+
 
 class TestKernel:
     def test_zero_displacement_returns_prefactor(self, paper_config, paper_derived):

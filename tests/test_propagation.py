@@ -71,11 +71,11 @@ def assert_matches_oracle(config, samples):
 
 
 def masked_row_reference(config, behavior):
-    """(lower, upper) from the per-cell masked sums of the full kernel: every
-    screen row, slit half and screen state e sums kernel * amplitude * 0/1
-    weight left to right.  Its entries carry the factor exp(i*c*x^2) and its
-    phases reach ~1e8 rad, so it agrees with the engine in density only, to
-    about 1e-9 of the peak."""
+    """(N, 2) screen-state amplitudes from the per-cell masked sums of the full
+    kernel: every screen row, slit half and screen state e sums kernel *
+    amplitude * 0/1 weight left to right, and the halves add.  Its entries carry
+    the factor exp(i*c*x^2) and its phases reach ~1e8 rad, so it agrees with
+    the engine in density only, to about 1e-9 of the peak."""
     derived = ds.derive(config)
     grids = ds.build_grids(config, derived)
     weights = allowed_weights(config, behavior)
@@ -88,7 +88,7 @@ def masked_row_reference(config, behavior):
             for e in range(2):
                 amp[i, e] = (terms * w[:, e]).cumsum()[-1]
         fields.append(amp)
-    return fields
+    return fields[0] + fields[1]
 
 
 def allowed_weights(config, behavior):
@@ -98,12 +98,29 @@ def allowed_weights(config, behavior):
                       for e in (1, 2)] for i_prime in range(1, n + 1)], dtype=float)
 
 
+def routed_states(config, behavior, field):
+    """(N, 2) screen-state amplitudes built from ``is_allowed``, not from ``screen_state``:
+    column e-1 adds the field's slit sums whose cells reach screen state e."""
+    n = config.n_positions
+    weights = allowed_weights(config, behavior)
+    halves = (weights[:n // 2], weights[n // 2:])
+    # The per-cell 0/1 weights are constant over each slit half, so the
+    # masked sum of a half is that half's slit sum times its weight row.
+    assert all(np.all(w == w[0]) for w in halves)
+    return sum(np.outer(total, w[0]) for total, w in zip((field.lower, field.upper), halves))
+
+
+def state_density(states):
+    """Density of (N, 2) screen-state amplitudes: the states' probabilities add."""
+    return (states.real ** 2 + states.imag ** 2).sum(axis=1)
+
+
 class TestAccumulate:
     def test_single_term_oracle_at_n2(self):
         cfg = ds.ExperimentConfig(n_positions=2)
         field = _field(cfg, QubitBehavior.NONE)
         for i, expected in enumerate(N2_LOWER_E1):
-            assert field.lower[i, 0] == pytest.approx(expected, rel=1e-13)
+            assert field.lower[i] == pytest.approx(expected, rel=1e-13)
 
     @pytest.mark.parametrize("n", [16, 250])
     @pytest.mark.parametrize("geometry", list(ds.GeometryMode))
@@ -123,25 +140,45 @@ class TestAccumulate:
         cfg = ds.ExperimentConfig(n_positions=n, geometry_mode=geometry)
         assert_matches_oracle(cfg, np.linspace(0, n - 1, 12).astype(int))
 
+    @pytest.mark.parametrize("behavior", list(QubitBehavior))
+    def test_field_carries_the_slit_sums(self, config_250, behavior):
+        derived = ds.derive(config_250)
+        grids = ds.build_grids(config_250, derived)
+        field = ds.accumulate(config_250, derived, grids, behavior)
+        s_lower, s_upper = ds.slit_sums(config_250, derived, grids)
+        assert field.behavior is behavior
+        assert field.lower.shape == field.upper.shape == (config_250.n_positions,)
+        assert field.lower.tobytes() == s_lower.tobytes()
+        assert field.upper.tobytes() == s_upper.tobytes()
+
     def test_inactive_qubit_leaves_second_state_empty(self, config_250):
         field = _field(config_250, QubitBehavior.NONE)
-        assert np.all(field.lower[:, 1] == 0)
-        assert np.all(field.upper[:, 1] == 0)
-        assert np.all(field.lower[:, 0] != 0)
+        states = routed_states(config_250, QubitBehavior.NONE, field)
+        assert np.all(states[:, 1] == 0)
+        assert np.all(states[:, 0] == field.lower + field.upper)
+        assert np.all(field.lower != 0)
+        density = ds.intensity(field).density
+        assert density.tobytes() == state_density(states).tobytes()
+        total = field.lower + field.upper
+        assert density.tobytes() == (total.real ** 2 + total.imag ** 2).tobytes()
 
     def test_remembers_separates_slits_by_state(self, config_250):
         field = _field(config_250, QubitBehavior.REMEMBERS)
-        assert np.all(field.upper[:, 1] == 0)   # upper slit only feeds e=1
-        assert np.all(field.lower[:, 0] == 0)   # lower slit only feeds e=2
-        assert np.all(field.upper[:, 0] != 0)
-        assert np.all(field.lower[:, 1] != 0)
+        states = routed_states(config_250, QubitBehavior.REMEMBERS, field)
+        assert np.all(states[:, 0] == field.upper)   # upper slit only feeds e=1
+        assert np.all(states[:, 1] == field.lower)   # lower slit only feeds e=2
+        assert np.all(field.upper != 0)
+        assert np.all(field.lower != 0)
+        assert ds.intensity(field).density.tobytes() == state_density(states).tobytes()
 
     def test_forgets_folds_both_slits_into_default_state(self, config_250):
         field = _field(config_250, QubitBehavior.FORGETS)
-        assert np.all(field.lower[:, 1] == 0)
-        assert np.all(field.upper[:, 1] == 0)
-        assert np.all(field.lower[:, 0] != 0)
-        assert np.all(field.upper[:, 0] != 0)
+        states = routed_states(config_250, QubitBehavior.FORGETS, field)
+        assert np.all(states[:, 1] == 0)
+        assert np.all(states[:, 0] == field.lower + field.upper)
+        assert np.all(field.lower != 0)
+        assert np.all(field.upper != 0)
+        assert ds.intensity(field).density.tobytes() == state_density(states).tobytes()
 
     def test_none_equals_forgets_bitwise(self):
         cfg = ds.ExperimentConfig(n_positions=16)
@@ -171,25 +208,15 @@ class TestAccumulate:
         cfg = ds.ExperimentConfig(n_positions=n, geometry_mode=geometry)
         field = _field(cfg, behavior, threads=threads)
         derived = ds.derive(cfg)
-        sums = ds.slit_sums(cfg, derived, ds.build_grids(cfg, derived))
-        # The per-cell 0/1 weights are constant over each slit half, so the
-        # masked sum of a half is that half's slit sum times its weight row.
-        weights = allowed_weights(cfg, behavior)
-        halves = (weights[:n // 2], weights[n // 2:])
-        assert all(np.all(w == w[0]) for w in halves)
-        lower, upper = (np.outer(total, w[0]) for total, w in zip(sums, halves))
-        # Exact equality; only the unrouted columns may differ, as +0 against
-        # the -0 that a 0-weighted sum can leave.
-        np.testing.assert_array_equal(field.lower, lower)
-        np.testing.assert_array_equal(field.upper, upper)
-        reference = ds.AmplitudeField(lower=lower, upper=upper, behavior=behavior,
-                                      positions=field.positions, config=cfg)
+        s_lower, s_upper = ds.slit_sums(cfg, derived, ds.build_grids(cfg, derived))
+        assert field.lower.tobytes() == s_lower.tobytes()
+        assert field.upper.tobytes() == s_upper.tobytes()
+        # intensity's routing gives the bytes of the states the per-cell is_allowed
+        # weights build from the same two sums.
         density = ds.intensity(field).density
-        assert density.tobytes() == ds.intensity(reference).density.tobytes()
+        assert density.tobytes() == state_density(routed_states(cfg, behavior, field)).tobytes()
         # Cross-check against the full-kernel masked rows, in density.
-        old_lower, old_upper = masked_row_reference(cfg, behavior)
-        old = ds.intensity(ds.AmplitudeField(lower=old_lower, upper=old_upper, behavior=behavior,
-                                             positions=field.positions, config=cfg)).density
+        old = state_density(masked_row_reference(cfg, behavior))
         assert np.abs(density - old).max() <= MASKED_ROW_TOL[n] * old.max()
 
     def test_one_engine_pass_for_all_behaviors(self, monkeypatch):
@@ -207,7 +234,7 @@ class TestAccumulate:
 
     @pytest.mark.parametrize("first", list(QubitBehavior))
     def test_rerouted_behaviors_match_their_own_pass(self, config_250, first):
-        # simulate_all runs one accumulate and reroutes its sums; whichever
+        # simulate_all runs one accumulate and relabels its field; whichever
         # behavior comes first, every profile equals that behavior's own pass.
         order = (first,) + tuple(b for b in QubitBehavior if b is not first)
         profiles = ds.simulate_all(config_250, behaviors=order)
@@ -318,7 +345,7 @@ class TestIntensity:
     def test_zero_field_gives_zero_profile(self, config_250):
         n = config_250.n_positions
         field = ds.AmplitudeField(
-            lower=np.zeros((n, 2), complex), upper=np.zeros((n, 2), complex),
+            lower=np.zeros(n, complex), upper=np.zeros(n, complex),
             behavior=QubitBehavior.NONE,
             positions=np.linspace(-0.15, 0.15, n), config=config_250)
         profile = ds.intensity(field)
@@ -332,15 +359,15 @@ class TestIntensity:
     def test_remembers_is_incoherent_slit_sum(self, config_250):
         field = _field(config_250, QubitBehavior.REMEMBERS)
         profile = ds.intensity(field)
-        upper_sq = field.upper[:, 0].real ** 2 + field.upper[:, 0].imag ** 2
-        lower_sq = field.lower[:, 1].real ** 2 + field.lower[:, 1].imag ** 2
-        np.testing.assert_allclose(profile.density, upper_sq + lower_sq, rtol=1e-12)
+        upper_sq = field.upper.real ** 2 + field.upper.imag ** 2
+        lower_sq = field.lower.real ** 2 + field.lower.imag ** 2
+        assert profile.density.tobytes() == (upper_sq + lower_sq).tobytes()
 
     def test_non_finite_field_rejected(self, config_250):
         n = config_250.n_positions
-        lower = np.zeros((n, 2), complex)
-        lower[3, 0] = complex(np.nan, 0)
-        field = ds.AmplitudeField(lower=lower, upper=np.zeros((n, 2), complex),
+        lower = np.zeros(n, complex)
+        lower[3] = complex(np.nan, 0)
+        field = ds.AmplitudeField(lower=lower, upper=np.zeros(n, complex),
                                   behavior=QubitBehavior.NONE,
                                   positions=np.linspace(-0.15, 0.15, n), config=config_250)
         with pytest.raises(SimulationError):
