@@ -13,7 +13,7 @@ from .errors import AnalysisError, ConfigError, SimulationError
 from .physics import (DerivedQuantities, ExperimentConfig, GeometryMode, Grids,
                       build_grids, derive, kernel_prefactor)
 from .propagation import (AmplitudeField, IntensityProfile, accumulate, intensity,
-                          simulate, simulate_all, slit_sums)
+                          simulate, simulate_all)
 from .qubit import (QubitBehavior, TransitionMask, build_mask, interference_possible,
                     is_allowed, render_mask, screen_state, screen_state_weights)
 from .reporting import (profile_svg, read_config_file, read_profile_csv,
@@ -57,7 +57,6 @@ __all__ = [
     "screen_state_weights",
     "simulate",
     "simulate_all",
-    "slit_sums",
     "total_probability",
     "validate",
     "write_mask_file",

@@ -8,7 +8,7 @@ on simulated profiles and compares them at fixed tolerances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -244,12 +244,6 @@ class ValidationReport:
         return "\n".join(lines) + "\n"
 
 
-def _mirrored(profile: IntensityProfile) -> IntensityProfile:
-    return IntensityProfile(positions=-profile.positions[::-1],
-                            density=profile.density[::-1],
-                            behavior=profile.behavior, config=profile.config)
-
-
 def _interval_check(name: str, measured: Optional[float], expected: float,
                     tolerance: float, note: str = "") -> CheckResult:
     passed = measured is not None and abs(measured - expected) <= tolerance
@@ -285,20 +279,21 @@ def validate(profiles: Mapping[QubitBehavior, IntensityProfile],
 
     fringe = fringe_spacing(peaks[QubitBehavior.NONE], preds.first_minimum)
 
+    # Each side s = +1 (positive) or -1 (negative) reads the remembers profile outward
+    # from the center; both sides are None if either side has no first minimum.
     remembers = profiles[QubitBehavior.REMEMBERS]
+    sides = (("positive", 1), ("negative", -1))
     try:
-        fmin_pos = find_first_minimum(remembers)
-        fmin_neg = -find_first_minimum(_mirrored(remembers))
+        fmin = {s: s * find_first_minimum(replace(remembers, positions=s * remembers.positions[::s],
+                                                   density=remembers.density[::s]))
+                for _, s in sides}
     except AnalysisError:
-        fmin_pos = fmin_neg = None
-
-    smax_pos = smax_neg = None
-    if fmin_pos is not None:
-        beyond = [x for x, _ in peaks[QubitBehavior.REMEMBERS] if x > fmin_pos]
-        smax_pos = min(beyond) if beyond else None
-    if fmin_neg is not None:
-        beyond = [x for x, _ in peaks[QubitBehavior.REMEMBERS] if x < fmin_neg]
-        smax_neg = max(beyond) if beyond else None
+        fmin = {s: None for _, s in sides}
+    smax = {}
+    for _, s in sides:
+        beyond = [x for x, _ in peaks[QubitBehavior.REMEMBERS]
+                  if fmin[s] is not None and s * x > s * fmin[s]]
+        smax[s] = min(beyond, key=lambda x: s * x) if beyond else None
 
     values = list(totals.values())
     scale = max(abs(v) for v in values) or 1.0
@@ -319,18 +314,12 @@ def validate(profiles: Mapping[QubitBehavior, IntensityProfile],
     checks.append(_interval_check(
         "fringe_spacing", fringe, preds.fringe_spacing,
         FRINGE_SPACING_RTOL * preds.fringe_spacing))
-    checks.append(_interval_check(
-        "first_minimum_positive", fmin_pos, preds.first_minimum,
-        FIRST_MINIMUM_TOL_CELLS * delta_screen))
-    checks.append(_interval_check(
-        "first_minimum_negative", fmin_neg, -preds.first_minimum,
-        FIRST_MINIMUM_TOL_CELLS * delta_screen))
-    checks.append(_interval_check(
-        "secondary_maximum_positive", smax_pos, preds.secondary_maximum,
-        SECONDARY_MAXIMUM_TOL_CELLS * delta_screen))
-    checks.append(_interval_check(
-        "secondary_maximum_negative", smax_neg, -preds.secondary_maximum,
-        SECONDARY_MAXIMUM_TOL_CELLS * delta_screen))
+    for feature, found, prediction, cells in (
+            ("first_minimum", fmin, preds.first_minimum, FIRST_MINIMUM_TOL_CELLS),
+            ("secondary_maximum", smax, preds.secondary_maximum, SECONDARY_MAXIMUM_TOL_CELLS)):
+        for side, s in sides:
+            checks.append(_interval_check(f"{feature}_{side}", found[s], s * prediction,
+                                          cells * delta_screen))
     for b, expected_flag in ((QubitBehavior.NONE, True),
                              (QubitBehavior.FORGETS, True),
                              (QubitBehavior.REMEMBERS, False)):

@@ -1,15 +1,19 @@
 """Slit sums at the screen, their routing by qubit behavior, and the intensity.
 
-:func:`slit_sums` computes once per config each slit's sum of kernel *
-slit_amplitude at every screen point x, less the factor exp(i*c*x^2) that all
-amplitudes at x share (Goodman, *Introduction to Fourier Optics*, ch. 4), as
-chunked complex matrix products per slit half.  Both grids are uniform, so the
-bilinear phase -2c*x*x' factors into block, step, chunk-head and offset
-terms; the block-by-offset and step-by-offset tables are computed once per
-pass and shared by every chunk of both halves.  An :class:`AmplitudeField`
-carries the two (N,) sums and a behavior label; :func:`intensity` routes each
-whole sum into one screen qubit state e (:func:`doubleslit.qubit.screen_state`),
-so :func:`simulate_all` serves every behavior from one :func:`accumulate` by
+The pipeline is :func:`~doubleslit.physics.derive` ->
+:func:`~doubleslit.physics.build_grids` -> :func:`accumulate` -> :func:`intensity`.
+:func:`accumulate` is the one propagation pass.  It takes only its own config's
+derived quantities and grids (equal to ``derive(config)`` and ``build_grids``'
+arrays) and computes each slit's sum of kernel * slit_amplitude at every
+screen point x, less the factor exp(i*c*x^2) that all amplitudes at x share
+(Goodman, *Introduction to Fourier Optics*, ch. 4), as chunked complex matrix
+products per slit half.  Both grids are uniform, so the bilinear phase
+-2c*x*x' factors into block, step, chunk-head and offset terms; the
+block-by-offset and step-by-offset tables are computed once per pass and
+shared by every chunk of both halves.  An :class:`AmplitudeField` carries the
+two (N,) sums and a behavior label; :func:`intensity` routes each whole sum
+into one screen qubit state e (:func:`doubleslit.qubit.screen_state`), so
+:func:`simulate_all` serves every behavior from one :func:`accumulate` by
 relabelling the field.  ``accumulate``'s ``threads`` is accepted and ignored;
 the matrix products run on BLAS's own threads.
 """
@@ -33,7 +37,6 @@ __all__ = [
     "intensity",
     "simulate",
     "simulate_all",
-    "slit_sums",
 ]
 
 CHUNK = 512   # slit columns per matrix product; it fixes the summation order and so the bits
@@ -44,8 +47,9 @@ PHASE_LIMIT = 1e-6 * 2.0 ** 53   # rad: float64 rounds a larger phase by more th
 class AmplitudeField:
     """The two slit sums at the screen, labelled with the qubit behavior that routes them.
 
-    ``lower`` and ``upper`` are :func:`slit_sums`' (N,) arrays; :func:`intensity`
-    sends each to the screen qubit state ``behavior`` assigns its slit.  Units
+    ``lower`` and ``upper`` are the (N,) slit sums of one :func:`accumulate` pass;
+    :func:`intensity` sends each to the screen qubit state ``behavior`` assigns
+    its slit.  Units
     are m^(-1/2) (amplitude density).
     Entries at screen position x omit the kernel's common factor
     exp(i*c*x^2), c = m/(2*hbar*L/v); its modulus is 1, so no intensity changes.
@@ -68,17 +72,6 @@ class IntensityProfile:
     config: ExperimentConfig
 
 
-def _split(grid: np.ndarray, stride: int, spacing: float,
-           name: str) -> tuple[np.ndarray, np.ndarray]:
-    """(heads, offsets) with grid[s*stride + t] = heads[s] + offsets[t], offsets = t*spacing.
-    Raises ``ValueError`` if the grid is off that uniform one by > 8 ulp of its max |x|."""
-    heads, offsets = grid[::stride], np.arange(stride) * spacing
-    deviation = np.abs(np.add.outer(heads, offsets).ravel()[:grid.size] - grid).max()
-    if deviation > 8 * np.spacing(np.abs(grid).max()):
-        raise ValueError(f"{name} grid is not uniform (off by {deviation:.3e} m)")
-    return heads, offsets
-
-
 def _half_sums(blocks: np.ndarray, steps: np.ndarray, f: np.ndarray, g: np.ndarray,
                heads: np.ndarray, q: np.ndarray, c: float) -> np.ndarray:
     """sum_k q[k] * exp(-2i*c*x*x'_k) at x = blocks[b] + steps[r], shape (B, R), for the slit
@@ -95,16 +88,21 @@ def _half_sums(blocks: np.ndarray, steps: np.ndarray, f: np.ndarray, g: np.ndarr
     return out
 
 
-def slit_sums(config: ExperimentConfig, derived: DerivedQuantities,
-              grids: Grids) -> tuple[np.ndarray, np.ndarray]:
+def accumulate(config: ExperimentConfig, derived: DerivedQuantities, grids: Grids,
+               behavior: QubitBehavior, *, threads: int = 1) -> AmplitudeField:
     """(S_lower, S_upper): A * slit_amplitude * sum over each slit of exp(i*c*(x'^2 - 2*x*x'))
-    at every screen position x.  Raises ``ValueError`` if the grids do not match the config
-    or a grid is off a uniform one by > 8 ulp, and :class:`SimulationError` if the largest
-    engine phase P = c*max|x'|*(2*max|x| + max|x'|) is not finite or exceeds ``PHASE_LIMIT``."""
-    n = config.n_positions
-    if grids.screen_positions.size != n or grids.slit_positions.size != n:
-        raise ValueError("grids do not match config.n_positions")
-    c = derived.phase_scale
+    at every screen position x, as an amplitude field for ``behavior``; ``threads`` is
+    ignored.  Raises ``ValueError`` unless ``derived`` is ``derive(config)`` and both grid
+    arrays equal those of ``build_grids(config, derived)``; :class:`SimulationError` if the
+    largest engine phase P = c*max|x'|*(2*max|x| + max|x'|) is not finite or exceeds
+    ``PHASE_LIMIT``, or naming the first non-finite cell of either sum."""
+    own = derive(config)
+    own_grids = build_grids(config, own)
+    if not (derived == own and np.array_equal(grids.screen_positions, own_grids.screen_positions)
+            and np.array_equal(grids.slit_positions, own_grids.slit_positions)):
+        raise ValueError("derived quantities or grids are not those of config: accumulate "
+                         "takes derive(config) and build_grids(config, derive(config))")
+    n, c = config.n_positions, derived.phase_scale
     with np.errstate(over="ignore", invalid="ignore"):
         x_max, xp_max = np.abs(grids.screen_positions).max(), np.abs(grids.slit_positions).max()
         phase = c * xp_max * (2.0 * x_max + xp_max)
@@ -112,29 +110,22 @@ def slit_sums(config: ExperimentConfig, derived: DerivedQuantities,
         raise SimulationError(f"largest engine phase {phase:.3e} rad exceeds {PHASE_LIMIT:.3e} "
                               f"rad, beyond which float64 rounds it by more than 1e-6 rad")
     stride = math.isqrt(n)          # screen point j = b*stride + r, 0 <= r < stride
-    blocks, steps = _split(grids.screen_positions, stride, derived.delta_screen, "screen")
+    blocks, steps = grids.screen_positions[::stride], np.arange(stride) * derived.delta_screen
     width = min(CHUNK, n // 2)      # slit point k = s*CHUNK + t, 0 <= t < width
-    lower_heads, offsets = _split(grids.lower_slit, width, derived.delta_slit, "lower-slit")
-    upper_heads, _ = _split(grids.upper_slit, width, derived.delta_slit, "upper-slit")
+    offsets = np.arange(width) * derived.delta_slit
     f = np.exp(1j * (-2.0 * c * np.multiply.outer(blocks, offsets)))
     g = np.exp(1j * (-2.0 * c * np.multiply.outer(steps, offsets)))
     weight = kernel_prefactor(config, derived) * derived.slit_amplitude
-    halves = ((lower_heads, grids.lower_slit), (upper_heads, grids.upper_slit))
-    return tuple(_half_sums(blocks, steps, f, g, heads, weight * np.exp(1j * (c * (h * h))),
-                            c).ravel()[:n] for heads, h in halves)
-
-
-def accumulate(config: ExperimentConfig, derived: DerivedQuantities, grids: Grids,
-               behavior: QubitBehavior, *, threads: int = 1) -> AmplitudeField:
-    """:func:`slit_sums` as an amplitude field for ``behavior``; ``threads`` is ignored.
-    Raises :class:`SimulationError` naming the first non-finite cell of either sum."""
-    sums = slit_sums(config, derived, grids)
-    for half, total in zip(("lower", "upper"), sums):
+    sums = {}
+    for half, h in (("lower", grids.lower_slit), ("upper", grids.upper_slit)):
+        total = _half_sums(blocks, steps, f, g, h[::width], weight * np.exp(1j * (c * (h * h))),
+                           c).ravel()[:n]
         bad = np.flatnonzero(~np.isfinite(total))
         if bad.size:
             raise SimulationError(f"non-finite {half}-slit amplitude at screen index "
                                   f"{bad[0] + 1}, qubit state {screen_state(behavior, half)}")
-    return AmplitudeField(*sums, behavior=behavior, positions=grids.screen_positions,
+        sums[half] = total
+    return AmplitudeField(**sums, behavior=behavior, positions=grids.screen_positions,
                           config=config)
 
 
@@ -159,14 +150,14 @@ def intensity(field: AmplitudeField) -> IntensityProfile:
 
 
 def simulate(config: ExperimentConfig, behavior: QubitBehavior) -> IntensityProfile:
-    """Full pipeline for one behavior: derive -> grids -> slit sums -> intensity."""
+    """Full pipeline for one behavior: derive -> build_grids -> accumulate -> intensity."""
     return simulate_all(config, behaviors=(behavior,))[behavior]
 
 
 def simulate_all(config: ExperimentConfig, *,
                  behaviors: tuple[QubitBehavior, ...] = tuple(QubitBehavior),
                  ) -> dict[QubitBehavior, IntensityProfile]:
-    """Run the pipeline for several behaviors from one shared pass of slit sums."""
+    """Run the pipeline for several behaviors from one shared accumulate pass."""
     derived = derive(config)
     grids = build_grids(config, derived)
     if not behaviors:

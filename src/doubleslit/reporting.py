@@ -1,7 +1,8 @@
 """File emitters: CSV profiles, static SVG plots, mask exports, reports.
 
 All outputs are deterministic functions of their inputs (no timestamps),
-so identical runs produce byte-identical files.
+so identical runs produce byte-identical files.  Each writer builds its whole
+text before it opens the path, so a formatting error leaves the file as it was.
 """
 
 from __future__ import annotations
@@ -31,10 +32,9 @@ CSV_HEADER = "x_m,probability_density"
 
 def write_profile_csv(profile: IntensityProfile, path) -> None:
     """One row per screen position, ascending x, 17 significant digits, LF endings."""
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(CSV_HEADER + "\n")
-        rows = np.column_stack((profile.positions, profile.density)).ravel().tolist()
-        fh.write("%.17g,%.17g\n" * profile.positions.size % tuple(rows))
+    rows = np.column_stack((profile.positions, profile.density)).ravel().tolist()
+    text = CSV_HEADER + "\n" + "%.17g,%.17g\n" * profile.positions.size % tuple(rows)
+    Path(path).write_text(text, encoding="ascii", newline="")
 
 
 def read_profile_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -121,13 +121,11 @@ def profile_svg(profile: IntensityProfile) -> str:
 
 
 def write_profile_svg(profile: IntensityProfile, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(profile_svg(profile))
+    Path(path).write_text(profile_svg(profile), encoding="utf-8", newline="")
 
 
 def write_mask_file(mask: TransitionMask, path) -> None:
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(render_mask(mask))
+    Path(path).write_text(render_mask(mask), encoding="ascii", newline="")
 
 
 def write_report(report: ValidationReport, path) -> None:
@@ -137,8 +135,7 @@ def write_report(report: ValidationReport, path) -> None:
         text = json.dumps(report.to_dict(), indent=2) + "\n"
     else:
         text = report.to_text()
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(text)
+    path.write_text(text, encoding="ascii", newline="")
 
 
 # Config files use the experiment's conventional symbol names as keys.

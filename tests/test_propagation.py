@@ -1,6 +1,7 @@
 import math
 import threading
 import warnings
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -142,14 +143,13 @@ class TestAccumulate:
 
     @pytest.mark.parametrize("behavior", list(QubitBehavior))
     def test_field_carries_the_slit_sums(self, config_250, behavior):
-        derived = ds.derive(config_250)
-        grids = ds.build_grids(config_250, derived)
-        field = ds.accumulate(config_250, derived, grids, behavior)
-        s_lower, s_upper = ds.slit_sums(config_250, derived, grids)
+        field = _field(config_250, behavior)
+        # the slit sums do not depend on the behavior: every label carries the same bytes
+        none = _field(config_250, QubitBehavior.NONE)
         assert field.behavior is behavior
         assert field.lower.shape == field.upper.shape == (config_250.n_positions,)
-        assert field.lower.tobytes() == s_lower.tobytes()
-        assert field.upper.tobytes() == s_upper.tobytes()
+        assert field.lower.tobytes() == none.lower.tobytes()
+        assert field.upper.tobytes() == none.upper.tobytes()
 
     def test_inactive_qubit_leaves_second_state_empty(self, config_250):
         field = _field(config_250, QubitBehavior.NONE)
@@ -207,10 +207,9 @@ class TestAccumulate:
     def test_routed_sums_match_masked_rows_exactly(self, behavior, geometry, n, threads):
         cfg = ds.ExperimentConfig(n_positions=n, geometry_mode=geometry)
         field = _field(cfg, behavior, threads=threads)
-        derived = ds.derive(cfg)
-        s_lower, s_upper = ds.slit_sums(cfg, derived, ds.build_grids(cfg, derived))
-        assert field.lower.tobytes() == s_lower.tobytes()
-        assert field.upper.tobytes() == s_upper.tobytes()
+        none = _field(cfg, QubitBehavior.NONE)
+        assert field.lower.tobytes() == none.lower.tobytes()
+        assert field.upper.tobytes() == none.upper.tobytes()
         # intensity's routing gives the bytes of the states the per-cell is_allowed
         # weights build from the same two sums.
         density = ds.intensity(field).density
@@ -272,13 +271,11 @@ class TestAccumulate:
         screen = grids.screen_positions.copy()
         screen[index] += 1e-6 * derived.delta_screen
         bent = ds.Grids(screen_positions=screen, slit_positions=grids.slit_positions)
-        with pytest.raises(ValueError, match="not uniform"):
-            ds.slit_sums(cfg, derived, bent)
+        with pytest.raises(ValueError, match="not those of config"):
+            ds.accumulate(cfg, derived, bent, QubitBehavior.NONE)
 
-    # Each chunk's first point is its own head and so factors exactly; a bent head shows in
-    # the chunk's other points (a one-point chunk, like index 1024 at N=2050, has none).
     @pytest.mark.parametrize("n, index", [(16, 0), (16, 7), (16, 8), (16, 15),
-                                          (2050, 1023), (2050, 1025)])
+                                          (2050, 1023), (2050, 1024), (2050, 1025)])
     def test_non_uniform_slit_grid_rejected(self, n, index):
         cfg = ds.ExperimentConfig(n_positions=n)
         derived = ds.derive(cfg)
@@ -286,9 +283,22 @@ class TestAccumulate:
         slit = grids.slit_positions.copy()
         slit[index] += 1e-6 * derived.delta_slit
         bent = ds.Grids(screen_positions=grids.screen_positions, slit_positions=slit)
-        half = "lower" if index < n // 2 else "upper"
-        with pytest.raises(ValueError, match=f"{half}-slit grid is not uniform"):
-            ds.slit_sums(cfg, derived, bent)
+        with pytest.raises(ValueError, match="not those of config"):
+            ds.accumulate(cfg, derived, bent, QubitBehavior.NONE)
+
+    def test_foreign_derived_rejected(self, config_250):
+        # another wavelength's derived quantities would give a profile of neither config
+        grids = ds.build_grids(config_250, ds.derive(config_250))
+        foreign = ds.derive(replace(config_250, wavelength=2e-10))
+        with pytest.raises(ValueError, match="not those of config"):
+            ds.accumulate(config_250, foreign, grids, QubitBehavior.NONE)
+
+    def test_foreign_grids_rejected(self, config_250):
+        # same N and spacings, another window and slit separation
+        derived = ds.derive(config_250)
+        other = replace(config_250, screen_min=-0.1, screen_max=0.2, slit_separation=5e-9)
+        with pytest.raises(ValueError, match="not those of config"):
+            ds.accumulate(config_250, derived, ds.build_grids(other, derived), QubitBehavior.NONE)
 
     @pytest.mark.parametrize("bound", [1e307, 1e300, 1e8])
     def test_phase_beyond_float64_rejected(self, bound):
@@ -439,8 +449,8 @@ class TestRandomConfigs:
         none = profiles[QubitBehavior.NONE].density
         assert none.tobytes() == profiles[QubitBehavior.FORGETS].density.tobytes()
         # remembers - none = -2 Re(S_l conj(S_u)) <= 2 |S_l| |S_u|, up to rounding
-        derived = ds.derive(config)
-        s_lower, s_upper = ds.slit_sums(config, derived, ds.build_grids(config, derived))
+        field = _field(config, QubitBehavior.NONE)
+        s_lower, s_upper = field.lower, field.upper
         bound = none + 2 * np.abs(s_lower) * np.abs(s_upper)
         slack = 8 * np.finfo(float).eps * (np.abs(s_lower) + np.abs(s_upper)) ** 2
         assert np.all(profiles[QubitBehavior.REMEMBERS].density <= bound + slack)

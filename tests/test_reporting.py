@@ -107,6 +107,24 @@ class TestSvg:
         assert ds.profile_svg(profile) == ds.profile_svg(profile)
 
 
+class TestFailedWriteKeepsFile:
+    """A writer builds its text before it opens the path: an error leaves the old bytes."""
+
+    @pytest.mark.parametrize("writer, positions, density, error", [
+        (ds.write_profile_csv, [0.0, 1.0], [1.0], ValueError),           # density one short
+        (ds.write_profile_svg, [0.0], [1.0], ZeroDivisionError),         # one-point profile
+    ])
+    def test_existing_file_unchanged(self, writer, positions, density, error, tmp_path):
+        profile = ds.IntensityProfile(positions=np.array(positions), density=np.array(density),
+                                      behavior=QubitBehavior.NONE,
+                                      config=ds.ExperimentConfig(n_positions=2))
+        path = tmp_path / "out"
+        path.write_bytes(b"previous contents\n")
+        with pytest.raises(error), np.errstate(invalid="ignore"):   # 0/0 x scale at one point
+            writer(profile, path)
+        assert path.read_bytes() == b"previous contents\n"
+
+
 class TestMaskFiles:
     def test_file_matches_renderer(self, tmp_path):
         mask = ds.build_mask(QubitBehavior.FORGETS, 8)
