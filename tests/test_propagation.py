@@ -425,6 +425,57 @@ class TestProfileProperties:
             profiles_250[QubitBehavior.REMEMBERS].density.tobytes()
 
 
+def continuum_densities(config, positions):
+    """(coherent, marked) densities of the continuum limit N -> infinity at ``positions``:
+    each slit's sum becomes A/sqrt(2a) * integral of exp(i*c*(x - x')^2) dx' over the slit,
+    a difference of Fresnel integrals, evaluated at 30 digits from the float config."""
+    with mpmath.workdps(30):
+        m, h = mpmath.mpf(config.electron_mass), mpmath.mpf(config.planck)
+        transit = mpmath.mpf(config.wall_to_screen) / (h / (mpmath.mpf(config.wavelength) * m))
+        hbar = h / (2 * mpmath.pi)
+        c = m / (2 * hbar * transit)
+        a, d = mpmath.mpf(config.slit_width), mpmath.mpf(config.slit_separation)
+        upper = d / 2 + (a if config.geometry_mode is ds.GeometryMode.PAPER_LITERAL else 0)
+        scale = m / (2 * mpmath.pi * hbar * transit) / (2 * a)    # |A|^2 / (2a)
+        k = mpmath.sqrt(2 * c / mpmath.pi)      # u = k*(x' - x) makes the phase pi*u^2/2
+
+        def slit_integral(center, x):
+            u1, u2 = k * (center - a / 2 - x), k * (center + a / 2 - x)
+            return (mpmath.fresnelc(u2) - mpmath.fresnelc(u1)
+                    + 1j * (mpmath.fresnels(u2) - mpmath.fresnels(u1))) / k
+
+        coherent, marked = [], []
+        for x in positions:
+            x = mpmath.mpf(float(x))
+            lower, up = slit_integral(-d / 2, x), slit_integral(upper, x)
+            coherent.append(float(scale * abs(lower + up) ** 2))
+            marked.append(float(scale * (abs(lower) ** 2 + abs(up) ** 2)))
+    return np.array(coherent), np.array(marked)
+
+
+class TestContinuumLimit:
+    @pytest.mark.parametrize("geometry", list(ds.GeometryMode))
+    def test_coarse_graining_error_falls_as_one_over_n_squared(self, geometry):
+        # The slit sums are midpoint rules of the continuum integrals, so the profile's
+        # distance from the continuum, max |I - I_inf| / max I_inf over 9 screen points of
+        # none and remembers, is C/N^2 with C = 1.31 at the reference geometry (2.1e-5 at
+        # N=250, 3.3e-7 at N=2000).  Margins: order 2 +- 0.02, C 1.31 +- 2 %.
+        ns = (250, 1000, 2000, 8000)
+        errors = []
+        for n in ns:
+            cfg = ds.ExperimentConfig(n_positions=n, geometry_mode=geometry)
+            none, remembers = ds.simulate_all(
+                cfg, behaviors=(QubitBehavior.NONE, QubitBehavior.REMEMBERS)).values()
+            samples = np.linspace(0, n - 1, 9).astype(int)
+            coherent, marked = continuum_densities(cfg, none.positions[samples])
+            errors.append(max(np.abs(none.density[samples] - coherent).max() / coherent.max(),
+                              np.abs(remembers.density[samples] - marked).max() / marked.max()))
+        errors, ns = np.array(errors), np.array(ns)
+        order = np.log(errors[:-1] / errors[1:]) / np.log(ns[1:] / ns[:-1])
+        assert np.all(np.abs(order - 2.0) <= 0.02), order
+        assert np.all(np.abs(errors * ns ** 2 - 1.31) <= 0.02 * 1.31), errors * ns ** 2
+
+
 @st.composite
 def sweep_configs(draw):
     """Valid configs over the ranges of the benchmark's sweep of small configs."""
