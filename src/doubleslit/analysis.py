@@ -289,11 +289,11 @@ def validate(profiles: Mapping[QubitBehavior, IntensityProfile],
                 for _, s in sides}
     except AnalysisError:
         fmin = {s: None for _, s in sides}
-    smax = {}
-    for _, s in sides:
-        beyond = [x for x, _ in peaks[QubitBehavior.REMEMBERS]
-                  if fmin[s] is not None and s * x > s * fmin[s]]
-        smax[s] = min(beyond, key=lambda x: s * x) if beyond else None
+    smax = {s: None for _, s in sides}      # the nearest peak beyond each first minimum
+    for s, edge in fmin.items():
+        if edge is not None:
+            smax[s] = min((x for x, _ in peaks[QubitBehavior.REMEMBERS] if s * x > s * edge),
+                          key=lambda x: s * x, default=None)
 
     values = list(totals.values())
     scale = max(abs(v) for v in values) or 1.0

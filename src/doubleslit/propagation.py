@@ -1,19 +1,17 @@
 """Slit sums at the screen, their routing by qubit behavior, and the intensity.
 
-The pipeline is :func:`~doubleslit.physics.derive` ->
-:func:`~doubleslit.physics.build_grids` -> :func:`accumulate` -> :func:`intensity`.
-:func:`accumulate` is the one propagation pass.  It takes only its own config's
-derived quantities and grids (equal to ``derive(config)`` and ``build_grids``'
-arrays) and computes each slit's sum of kernel * slit_amplitude at every
-screen point x, less the factor exp(i*c*x^2) that all amplitudes at x share
-(Goodman, *Introduction to Fourier Optics*, ch. 4), as chunked complex matrix
-products per slit half.  Both grids are uniform, so the bilinear phase
--2c*x*x' factors into block, step, chunk-head and offset terms; the
-block-by-offset and step-by-offset tables are computed once per pass and
-shared by every chunk of both halves.  An :class:`AmplitudeField` carries the
-two (N,) sums and a behavior label; :func:`intensity` routes each whole sum
-into one screen qubit state e (:func:`doubleslit.qubit.screen_state`), so
-:func:`simulate_all` serves every behavior from one :func:`accumulate` by
+The stages are derive -> build_grids -> :func:`accumulate` -> :func:`intensity`.
+:func:`accumulate`, the one propagation pass, accepts only its own config's
+derived quantities and grids, and computes each slit's sum of kernel *
+slit_amplitude at every screen point x, less the factor exp(i*c*x^2) that all
+amplitudes at x share (Goodman, *Introduction to Fourier Optics*, ch. 4), as
+chunked complex matrix products per slit half.  Both grids are uniform, so the
+bilinear phase -2c*x*x' factors into block, step, chunk-head and offset
+terms; the block-by-offset and step-by-offset tables are computed once per
+pass and shared by every chunk of both halves.  An :class:`AmplitudeField`
+carries the two (N,) sums and a behavior label; :func:`intensity` routes each
+whole sum into one screen qubit state e (:func:`doubleslit.qubit.screen_state`),
+so :func:`simulate_all` serves every behavior from one :func:`accumulate` by
 relabelling the field.  ``accumulate``'s ``threads`` is accepted and ignored;
 the matrix products run on BLAS's own threads.
 """
@@ -47,9 +45,8 @@ PHASE_LIMIT = 1e-6 * 2.0 ** 53   # rad: float64 rounds a larger phase by more th
 class AmplitudeField:
     """The two slit sums at the screen, labelled with the qubit behavior that routes them.
 
-    ``lower`` and ``upper`` are the (N,) slit sums of one :func:`accumulate` pass;
-    :func:`intensity` sends each to the screen qubit state ``behavior`` assigns
-    its slit.  Units
+    ``lower`` and ``upper`` are :func:`accumulate`'s (N,) slit sums; :func:`intensity`
+    sends each to the screen qubit state ``behavior`` assigns its slit.  Units
     are m^(-1/2) (amplitude density).
     Entries at screen position x omit the kernel's common factor
     exp(i*c*x^2), c = m/(2*hbar*L/v); its modulus is 1, so no intensity changes.

@@ -1,7 +1,7 @@
 """File emitters: CSV profiles, static SVG plots, mask exports, reports.
 
 All outputs are deterministic functions of their inputs (no timestamps),
-so identical runs produce byte-identical files.  Each writer builds its whole
+so identical runs produce byte-identical files.  Each writer encodes its whole
 text before it opens the path, so a formatting error leaves the file as it was.
 """
 
@@ -34,7 +34,7 @@ def write_profile_csv(profile: IntensityProfile, path) -> None:
     """One row per screen position, ascending x, 17 significant digits, LF endings."""
     rows = np.column_stack((profile.positions, profile.density)).ravel().tolist()
     text = CSV_HEADER + "\n" + "%.17g,%.17g\n" * profile.positions.size % tuple(rows)
-    Path(path).write_text(text, encoding="ascii", newline="")
+    Path(path).write_bytes(text.encode("ascii"))
 
 
 def read_profile_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -121,11 +121,11 @@ def profile_svg(profile: IntensityProfile) -> str:
 
 
 def write_profile_svg(profile: IntensityProfile, path) -> None:
-    Path(path).write_text(profile_svg(profile), encoding="utf-8", newline="")
+    Path(path).write_bytes(profile_svg(profile).encode("utf-8"))
 
 
 def write_mask_file(mask: TransitionMask, path) -> None:
-    Path(path).write_text(render_mask(mask), encoding="ascii", newline="")
+    Path(path).write_bytes(render_mask(mask).encode("ascii"))
 
 
 def write_report(report: ValidationReport, path) -> None:
@@ -135,7 +135,7 @@ def write_report(report: ValidationReport, path) -> None:
         text = json.dumps(report.to_dict(), indent=2) + "\n"
     else:
         text = report.to_text()
-    path.write_text(text, encoding="ascii", newline="")
+    path.write_bytes(text.encode("ascii"))
 
 
 # Config files use the experiment's conventional symbol names as keys.

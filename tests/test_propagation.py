@@ -501,7 +501,6 @@ class TestRandomConfigs:
         assert none.tobytes() == profiles[QubitBehavior.FORGETS].density.tobytes()
         # remembers - none = -2 Re(S_l conj(S_u)) <= 2 |S_l| |S_u|, up to rounding
         field = _field(config, QubitBehavior.NONE)
-        s_lower, s_upper = field.lower, field.upper
-        bound = none + 2 * np.abs(s_lower) * np.abs(s_upper)
-        slack = 8 * np.finfo(float).eps * (np.abs(s_lower) + np.abs(s_upper)) ** 2
+        bound = none + 2 * np.abs(field.lower) * np.abs(field.upper)
+        slack = 8 * np.finfo(float).eps * (np.abs(field.lower) + np.abs(field.upper)) ** 2
         assert np.all(profiles[QubitBehavior.REMEMBERS].density <= bound + slack)
