@@ -13,6 +13,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
+from . import physics
 from .errors import AnalysisError
 from .physics import ExperimentConfig, derive
 from .propagation import IntensityProfile
@@ -255,8 +256,12 @@ def validate(profiles: Mapping[QubitBehavior, IntensityProfile],
              peak_threshold: float = DEFAULT_PEAK_PROMINENCE) -> ValidationReport:
     """Cross-check all three behaviors' profiles against the optics predictions.
 
-    Requires one profile per behavior, all computed with ``config``.
+    Requires one profile per behavior, all computed with ``config``, each on the
+    screen positions of ``build_grids(config, derive(config))`` with a density of
+    the same shape; raises ``ValueError`` otherwise.
     """
+    derived = derive(config)
+    screen = physics.build_grids(config, derived).screen_positions
     for behavior in QubitBehavior:
         if behavior not in profiles:
             raise ValueError(f"missing profile for behavior {behavior.value!r}")
@@ -265,9 +270,12 @@ def validate(profiles: Mapping[QubitBehavior, IntensityProfile],
             raise ValueError(f"profile for {behavior.value!r} was computed with a different config")
         if p.behavior is not behavior:
             raise ValueError(f"profile labeled {p.behavior.value!r} supplied for {behavior.value!r}")
+        if not (np.array_equal(p.positions, screen) and np.shape(p.density) == screen.shape):
+            raise ValueError(f"profile for {behavior.value!r} is not on the screen grid of "
+                             f"build_grids(config, derive(config))")
 
     preds = analytic_predictions(config)
-    delta_screen = derive(config).delta_screen
+    delta_screen = derived.delta_screen
 
     totals = {b.value: total_probability(profiles[b]) for b in QubitBehavior}
     peaks = {b: find_peaks(profiles[b], peak_threshold) for b in QubitBehavior}

@@ -168,6 +168,3 @@ def run(request: RunRequest) -> int:
 def main(argv=None) -> int:
     return run(parse_args(argv))
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["ConfigError", "SimulationError", "AnalysisError"]
+
 
 class ConfigError(ValueError):
     """An experiment configuration violates its invariants."""

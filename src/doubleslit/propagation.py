@@ -92,7 +92,7 @@ def accumulate(config: ExperimentConfig, derived: DerivedQuantities, grids: Grid
     ignored.  Raises ``ValueError`` unless ``derived`` is ``derive(config)`` and both grid
     arrays equal those of ``build_grids(config, derived)``; :class:`SimulationError` if the
     largest engine phase P = c*max|x'|*(2*max|x| + max|x'|) is not finite or exceeds
-    ``PHASE_LIMIT``, or naming the first non-finite cell of either sum."""
+    ``PHASE_LIMIT``."""
     own = derive(config)
     own_grids = build_grids(config, own)
     if not (derived == own and np.array_equal(grids.screen_positions, own_grids.screen_positions)
@@ -113,31 +113,28 @@ def accumulate(config: ExperimentConfig, derived: DerivedQuantities, grids: Grid
     f = np.exp(1j * (-2.0 * c * np.multiply.outer(blocks, offsets)))
     g = np.exp(1j * (-2.0 * c * np.multiply.outer(steps, offsets)))
     weight = kernel_prefactor(config, derived) * derived.slit_amplitude
-    sums = {}
-    for half, h in (("lower", grids.lower_slit), ("upper", grids.upper_slit)):
-        total = _half_sums(blocks, steps, f, g, h[::width], weight * np.exp(1j * (c * (h * h))),
-                           c).ravel()[:n]
-        bad = np.flatnonzero(~np.isfinite(total))
-        if bad.size:
-            raise SimulationError(f"non-finite {half}-slit amplitude at screen index "
-                                  f"{bad[0] + 1}, qubit state {screen_state(behavior, half)}")
-        sums[half] = total
-    return AmplitudeField(**sums, behavior=behavior, positions=grids.screen_positions,
-                          config=config)
+    lower, upper = (_half_sums(blocks, steps, f, g, h[::width],
+                               weight * np.exp(1j * (c * (h * h))), c).ravel()[:n]
+                    for h in (grids.lower_slit, grids.upper_slit))
+    return AmplitudeField(lower, upper, behavior, grids.screen_positions, config)
 
 
 def intensity(field: AmplitudeField) -> IntensityProfile:
     """Standalone probability density from an amplitude field.
 
     Slit sums routed to the same screen qubit state add coherently; the two
-    screen qubit states are exclusive and their probabilities add.
+    screen qubit states are exclusive and their probabilities add.  Raises
+    :class:`SimulationError` naming the first screen index (1-based) and qubit
+    state whose amplitude is not finite.
     """
     states: dict[int, np.ndarray] = {}      # screen qubit state e -> its amplitude
     for half, total in (("lower", field.lower), ("upper", field.upper)):
         e = screen_state(field.behavior, half)
         states[e] = states.get(e, 0) + total
-    if not all(np.all(np.isfinite(amplitude)) for amplitude in states.values()):
-        raise SimulationError("amplitude field contains non-finite entries")
+    finite = {e: np.isfinite(amplitude) for e, amplitude in states.items()}
+    if not all(ok.all() for ok in finite.values()):
+        i, e = min((int(np.argmin(ok)), e) for e, ok in finite.items() if not ok.all())
+        raise SimulationError(f"non-finite amplitude at screen index {i + 1}, qubit state {e}")
     density = sum(amplitude.real ** 2 + amplitude.imag ** 2 for amplitude in states.values())
     if (density < 0).any():
         # unreachable for a modulus-squared construction; signals an arithmetic fault

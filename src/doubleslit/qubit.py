@@ -110,12 +110,17 @@ class TransitionMask:
 
     The mask is represented by the behavior's routing table; a dense table
     is materialized only on demand, since the structure depends on i' only
-    through which slit it falls in, never on the screen index.  Build it
-    with :func:`build_mask`, which validates the behavior and n.
+    through which slit it falls in, never on the screen index.  Raises
+    ``TypeError`` for a behavior that is not a :class:`QubitBehavior` and
+    ``ValueError`` unless n is an even integer >= 2.
     """
 
     behavior: QubitBehavior
     n: int
+
+    def __post_init__(self) -> None:
+        _route(self.behavior, "lower")   # the behavior's type check
+        _validate_n(self.n)
 
     def composite_table(self) -> np.ndarray:
         """Dense (2n, 2n) boolean table.
@@ -135,9 +140,7 @@ class TransitionMask:
 
 
 def build_mask(behavior: QubitBehavior, n: int) -> TransitionMask:
-    """Validate arguments and wrap them in a :class:`TransitionMask`."""
-    _route(behavior, "lower")   # the behavior's type check
-    _validate_n(n)
+    """The :class:`TransitionMask` of ``behavior`` over n slit positions."""
     return TransitionMask(behavior=behavior, n=n)
 
 

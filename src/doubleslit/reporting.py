@@ -57,10 +57,19 @@ _N_XTICKS, _N_YTICKS = 7, 6
 
 
 def profile_svg(profile: IntensityProfile) -> str:
-    """Self-contained SVG line plot of a profile, one polyline, with axis ticks."""
+    """Self-contained SVG line plot of a profile, one polyline, with axis ticks.
+
+    Raises ``ValueError`` unless positions and density are 1-D of one size >= 2
+    and the last position lies above the first.
+    """
     xs = np.asarray(profile.positions, dtype=float)
     ys = np.asarray(profile.density, dtype=float)
+    if xs.ndim != 1 or ys.shape != xs.shape or xs.size < 2:
+        raise ValueError(f"a plot needs 1-D positions and density of one size >= 2, "
+                         f"got shapes {xs.shape} and {ys.shape}")
     x_lo, x_hi = float(xs[0]), float(xs[-1])
+    if not x_hi > x_lo:
+        raise ValueError(f"last position {x_hi} does not lie above the first {x_lo}")
     y_lo, y_hi = 0.0, float(ys.max())
     if y_hi <= y_lo:
         y_hi = y_lo + 1.0

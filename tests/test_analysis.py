@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -220,6 +221,16 @@ class TestValidate:
         partial = {QubitBehavior.NONE: profiles_250[QubitBehavior.NONE]}
         with pytest.raises(ValueError):
             ds.validate(partial, config_250)
+
+    @pytest.mark.parametrize("cut", [
+        lambda p: replace(p, positions=p.positions[:4], density=p.density[:4]),
+        lambda p: replace(p, density=p.density[:-1]),
+    ], ids=["four-point-slice", "density-one-short"])
+    def test_profile_off_the_config_grid_rejected(self, cut):
+        config = ds.ExperimentConfig(n_positions=16)
+        profiles = {b: cut(p) for b, p in ds.simulate_all(config).items()}
+        with pytest.raises(ValueError, match="screen grid"):
+            ds.validate(profiles, config)
 
     def test_mislabeled_profile_rejected(self, profiles_250, config_250):
         shuffled = dict(profiles_250)

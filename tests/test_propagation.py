@@ -342,13 +342,14 @@ class TestAccumulate:
             assert sum(counted) == n + 2 * (b + r) * -(-n // 1024) + (b + r) * min(512, n // 2)
         assert sum(counted) == 102_512
 
-    def test_non_finite_amplitude_names_the_cell(self, config_250, monkeypatch):
-        def broken_half_sums(blocks, steps, *args):
-            return np.full((blocks.size, steps.size), np.nan, dtype=np.complex128)
-
-        monkeypatch.setattr(propagation, "_half_sums", broken_half_sums)
+    def test_non_finite_amplitude_names_the_cell(self, config_250):
+        field = _field(config_250, QubitBehavior.REMEMBERS)     # lower -> e=2, upper -> e=1
+        lower, upper = field.lower.copy(), field.upper.copy()
+        lower[4] = upper[0] = complex(np.nan, 0)
         with pytest.raises(SimulationError, match=r"screen index 1, qubit state 1"):
-            _field(config_250, QubitBehavior.NONE)
+            ds.intensity(replace(field, lower=lower, upper=upper))
+        with pytest.raises(SimulationError, match=r"screen index 5, qubit state 2"):
+            ds.intensity(replace(field, lower=lower))
 
 
 class TestIntensity:

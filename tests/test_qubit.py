@@ -115,6 +115,10 @@ class TestTransitionMask:
             ds.build_mask(QubitBehavior.NONE, 3)
         with pytest.raises(TypeError):
             ds.build_mask("none", 4)
+        with pytest.raises(ValueError):
+            ds.TransitionMask(QubitBehavior.NONE, 3)
+        with pytest.raises(TypeError):
+            ds.TransitionMask("none", 4)
 
 
 class TestInterferencePossible:
