@@ -29,7 +29,6 @@ __all__ = [
     "CheckResult",
     "ValidationReport",
     "validate",
-    "DEFAULT_PEAK_PROMINENCE",
 ]
 
 # Tolerances used by validate(); these are artifact decisions, the source
@@ -41,7 +40,7 @@ FRINGE_SPACING_RTOL = 0.10
 FIRST_MINIMUM_TOL_CELLS = 2       # multiples of delta_screen
 SECONDARY_MAXIMUM_TOL_CELLS = 5
 INTERFERENCE_MIN_PEAKS = 5        # peaks inside the central lobe
-DEFAULT_PEAK_PROMINENCE = 0.01    # fraction of the global maximum
+PEAK_PROMINENCE = 0.01            # fraction of the global maximum
 
 # report feature -> the check whose measured and expected values it prints
 _FEATURE_CHECKS = {
@@ -69,24 +68,19 @@ def analytic_predictions(config: ExperimentConfig) -> AnalyticPredictions:
     )
 
 
-def find_peaks(profile: IntensityProfile,
-               min_prominence_fraction: float = DEFAULT_PEAK_PROMINENCE,
-               ) -> list[tuple[float, float]]:
+def find_peaks(profile: IntensityProfile) -> list[tuple[float, float]]:
     """Strict local maxima as (position, density), sorted by position.
 
     A peak qualifies when its topographic prominence exceeds
-    ``min_prominence_fraction`` times the global maximum, which filters
-    numerical ripple without suppressing genuine secondary maxima.  A
-    plateau of equal values bounded by lower neighbors counts once, at its
-    leftmost sample.
+    ``PEAK_PROMINENCE`` times the global maximum, which filters numerical
+    ripple without suppressing genuine secondary maxima.  A plateau of equal
+    values bounded by lower neighbors counts once, at its leftmost sample.
     """
-    if not 0.0 < min_prominence_fraction < 1.0:
-        raise ValueError(f"min_prominence_fraction must be in (0, 1), got {min_prominence_fraction}")
     density = np.asarray(profile.density)
     if density.size == 0:
         raise AnalysisError("empty profile")
     _, left, prominences = _maxima(density)
-    keep = prominences > min_prominence_fraction * density.max()
+    keep = prominences > PEAK_PROMINENCE * density.max()
     return [(float(profile.positions[i]), float(density[i])) for i in left[keep]]
 
 
@@ -143,12 +137,15 @@ def fringe_spacing(peaks: Sequence[tuple[float, float]],
     The central diffraction lobe is where the fringe comb is cleanest; the
     median is robust to one missed or spurious peak at the lobe edges.
     Returns None when fewer than three peaks fall inside the lobe (no
-    fringes, as expected for a which-path-marked run).
+    fringes, as expected for a which-path-marked run).  The median is taken
+    by sorting, as ``np.median`` does, without its import of ``numpy.ma``.
     """
     positions = sorted(p for p, _ in peaks if abs(p) <= lobe_halfwidth)
     if len(positions) < 3:
         return None
-    return float(np.median(np.diff(positions)))
+    gaps = np.sort(np.diff(positions))
+    middle = gaps.size // 2
+    return float(gaps[middle] if gaps.size % 2 else (gaps[middle - 1] + gaps[middle]) / 2)
 
 
 def find_first_minimum(profile: IntensityProfile) -> float:
@@ -252,8 +249,7 @@ def _interval_check(name: str, measured: Optional[float], expected: float,
 
 
 def validate(profiles: Mapping[QubitBehavior, IntensityProfile],
-             config: ExperimentConfig, *,
-             peak_threshold: float = DEFAULT_PEAK_PROMINENCE) -> ValidationReport:
+             config: ExperimentConfig) -> ValidationReport:
     """Cross-check all three behaviors' profiles against the optics predictions.
 
     Requires one profile per behavior, all computed with ``config``, each on the
@@ -278,7 +274,7 @@ def validate(profiles: Mapping[QubitBehavior, IntensityProfile],
     delta_screen = derived.delta_screen
 
     totals = {b.value: total_probability(profiles[b]) for b in QubitBehavior}
-    peaks = {b: find_peaks(profiles[b], peak_threshold) for b in QubitBehavior}
+    peaks = {b: find_peaks(profiles[b]) for b in QubitBehavior}
     in_lobe = {
         b: [x for x, _ in peaks[b] if abs(x) <= preds.first_minimum]
         for b in QubitBehavior
@@ -305,9 +301,7 @@ def validate(profiles: Mapping[QubitBehavior, IntensityProfile],
 
     values = list(totals.values())
     scale = max(abs(v) for v in values) or 1.0
-    pairwise = max(
-        abs(va - vb) for ia, va in enumerate(values) for vb in values[ia + 1:]
-    ) / scale
+    pairwise = (max(values) - min(values)) / scale
 
     checks = [
         _interval_check(f"normalization_{b.value}", totals[b.value],

@@ -14,13 +14,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .analysis import DEFAULT_PEAK_PROMINENCE, validate
+from .analysis import validate
 from .errors import AnalysisError, ConfigError, SimulationError
 from .physics import ExperimentConfig, GeometryMode
 from .propagation import simulate_all
 from .qubit import QubitBehavior, build_mask
-from .reporting import (read_config_file, write_mask_file, write_profile_csv,
-                        write_profile_svg, write_report)
+from .reporting import (CONFIG_FILE_KEYS, read_config_file, write_mask_file,
+                        write_profile_csv, write_profile_svg, write_report)
 
 __all__ = ["RunRequest", "parse_args", "run", "main"]
 
@@ -38,7 +38,6 @@ class RunRequest:
     masks_dir: Optional[Path] = None
     report_path: Optional[Path] = None
     check: bool = False
-    peak_threshold: float = DEFAULT_PEAK_PROMINENCE
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -65,13 +64,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--check", action="store_true",
                         help="run the validation checks and exit 2 if any fails; "
                              "requires --qubit all")
-    parser.add_argument("--peak-threshold", type=float, default=DEFAULT_PEAK_PROMINENCE,
-                        metavar="FRAC",
-                        help="peak prominence threshold as a fraction of the global "
-                             "maximum (default: %(default)s)")
     parser.add_argument("--config", type=Path, default=None, metavar="PATH",
-                        help="flat key=value config file (keys: lambda, m, h, a, d, "
-                             "L, N, Zmin, Zmax); flags override file values")
+                        help=f"flat key=value config file (keys: {', '.join(CONFIG_FILE_KEYS)}); "
+                             "flags override file values")
     parser.add_argument("--threads", type=int, default=1, metavar="T",
                         help="accepted and ignored: the slit sums are matrix products "
                              "on BLAS's own threads, and the output is bitwise "
@@ -112,14 +107,12 @@ def parse_args(argv) -> RunRequest:
     if not (args.csv or args.svg or args.masks or wants_validation):
         parser.error("no output requested; pass at least one of "
                      "--csv/--svg/--masks/--report/--check")
-    if not 0.0 < args.peak_threshold < 1.0:
-        parser.error(f"--peak-threshold must be in (0, 1), got {args.peak_threshold}")
     if args.threads < 1:
         parser.error(f"--threads must be >= 1, got {args.threads}")
 
     return RunRequest(config=config, behaviors=behaviors, csv_path=args.csv,
                       svg_path=args.svg, masks_dir=args.masks, report_path=args.report,
-                      check=args.check, peak_threshold=args.peak_threshold)
+                      check=args.check)
 
 
 def _per_behavior_path(path: Path, behavior: QubitBehavior, multiple: bool) -> Path:
@@ -149,8 +142,7 @@ def run(request: RunRequest) -> int:
                 write_mask_file(mask, request.masks_dir / f"mask_{behavior.value}.txt")
 
         if request.check or request.report_path is not None:
-            report = validate(profiles, request.config,
-                              peak_threshold=request.peak_threshold)
+            report = validate(profiles, request.config)
             sys.stdout.write(report.to_text())
             if request.report_path is not None:
                 write_report(report, request.report_path)

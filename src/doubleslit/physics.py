@@ -52,6 +52,10 @@ class GeometryMode(Enum):
     PAPER_LITERAL = "paper"
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """All experimental constants. Defaults reproduce the reference setup.
@@ -76,8 +80,12 @@ class ExperimentConfig:
         for name in ("electron_mass", "wavelength", "planck", "slit_width",
                      "slit_separation", "wall_to_screen"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+            if not (_is_number(value) and math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be a positive finite number, got {value!r}")
+        for name in ("screen_min", "screen_max"):
+            value = getattr(self, name)
+            if not _is_number(value):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
         if not isinstance(self.n_positions, int) or isinstance(self.n_positions, bool):
             raise ConfigError(f"n_positions must be an integer, got {self.n_positions!r}")
         if self.n_positions < 2 or self.n_positions % 2 != 0:

@@ -59,8 +59,8 @@ _N_XTICKS, _N_YTICKS = 7, 6
 def profile_svg(profile: IntensityProfile) -> str:
     """Self-contained SVG line plot of a profile, one polyline, with axis ticks.
 
-    Raises ``ValueError`` unless positions and density are 1-D of one size >= 2
-    and the last position lies above the first.
+    Raises ``ValueError`` unless positions and density are 1-D of one size >= 2,
+    the last position lies above the first and every density is finite.
     """
     xs = np.asarray(profile.positions, dtype=float)
     ys = np.asarray(profile.density, dtype=float)
@@ -70,6 +70,9 @@ def profile_svg(profile: IntensityProfile) -> str:
     x_lo, x_hi = float(xs[0]), float(xs[-1])
     if not x_hi > x_lo:
         raise ValueError(f"last position {x_hi} does not lie above the first {x_lo}")
+    if not np.isfinite(ys).all():
+        i = int(np.argmin(np.isfinite(ys)))             # the first non-finite index
+        raise ValueError(f"density[{i}] = {ys[i]} is not finite")
     y_lo, y_hi = 0.0, float(ys.max())
     if y_hi <= y_lo:
         y_hi = y_lo + 1.0

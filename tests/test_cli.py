@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import doubleslit as ds
-from doubleslit.cli import main, parse_args
+from doubleslit.cli import _build_parser, main, parse_args
 from doubleslit.qubit import QubitBehavior
 from doubleslit.reporting import CONFIG_FILE_KEYS, read_config_file
 
@@ -87,7 +87,6 @@ class TestParseArgs:
         [],                                         # no output requested
         ["--report", "r.json", "--qubit", "none"],  # validation needs all three
         ["--check", "--qubit", "forgets"],
-        ["--csv", "x.csv", "--peak-threshold", "1.5"],
         ["--csv", "x.csv", "--threads", "0"],
     ])
     def test_usage_errors_exit_2(self, argv):
@@ -109,6 +108,13 @@ class TestParseArgs:
         with pytest.raises(SystemExit) as excinfo:
             parse_args(["--config", str(cfg_file), "--csv", str(tmp_path / "o.csv")])
         assert excinfo.value.code == 2
+
+    def test_readme_flag_table_matches_parser(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        documented = {flag for line in readme.splitlines() if line.startswith("| `--")
+                      for flag in re.findall(r"--[a-z][a-z-]*", line.split("|")[1])}
+        options = {s for action in _build_parser()._actions for s in action.option_strings}
+        assert documented == options - {"-h", "--help"}
 
     def test_duplicate_config_key_is_a_usage_error(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
@@ -298,6 +304,7 @@ from doubleslit.cli import main
 code = main(["--qubit", "all", "--n", "250", "--csv", "p.csv", "--svg", "p.svg",
              "--masks", "masks", "--report", "R.json"])
 assert not {LOADED_SCIPY}, {LOADED_SCIPY}
+assert "numpy.ma" not in sys.modules     # fringe_spacing takes its median by sorting
 sys.exit(code)
 """
         result = _fresh_python(code, tmp_path)

@@ -50,6 +50,10 @@ class TestExperimentConfig:
         {"slit_separation": 0.1e-8},   # slits would overlap
         {"wavelength": float("nan")},
         {"geometry_mode": "corrected"},  # must be the enum
+        {"wavelength": True},           # a bool is not a number
+        {"screen_min": "a"},
+        {"screen_min": None},
+        {"screen_max": True},
     ])
     def test_invalid_configs_rejected(self, overrides):
         with pytest.raises(ConfigError):

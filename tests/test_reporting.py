@@ -112,7 +112,10 @@ class TestSvg:
         ([1.0, 1.0], [1.0, 2.0], "does not lie above"),
         ([], [], "size >= 2"),
         (np.linspace(-0.15, 0.15, 16), np.ones(10), "of one size"),
-    ], ids=["one-point", "equal-ends", "empty", "density-short"])
+        (np.linspace(-1, 1, 4), [1.0, np.nan, 2.0, 1.0], r"density\[1\] = nan is not finite"),
+        (np.linspace(-1, 1, 4), [1.0, 2.0, np.inf, 1.0], r"density\[2\] = inf is not finite"),
+        (np.linspace(-1, 1, 4), [1.0, -np.inf, np.nan, 1.0], r"density\[1\] = -inf"),
+    ], ids=["one-point", "equal-ends", "empty", "density-short", "nan", "inf", "minus-inf"])
     def test_unplottable_profile_rejected(self, positions, density, cause):
         profile = ds.IntensityProfile(positions=np.array(positions), density=np.array(density),
                                       behavior=QubitBehavior.NONE,
