@@ -8,7 +8,9 @@ amplitudes at x share (Goodman, *Introduction to Fourier Optics*, ch. 4), as
 chunked complex matrix products per slit half.  Both grids are uniform, so the
 bilinear phase -2c*x*x' factors into block, step, chunk-head and offset
 terms; the block-by-offset and step-by-offset tables are computed once per
-pass and shared by every chunk of both halves.  An :class:`AmplitudeField`
+pass and shared by every chunk.  On mirror-image grids (the corrected geometry
+on a window symmetric about 0) S_lower(x) = S_upper(-x), so only the upper
+slit is summed.  An :class:`AmplitudeField`
 carries the two (N,) sums and a behavior label; :func:`intensity` routes each
 whole sum into one screen qubit state e (:func:`doubleslit.qubit.screen_state`),
 so :func:`simulate_all` serves every behavior from one :func:`accumulate` by
@@ -75,7 +77,8 @@ def _half_sums(blocks: np.ndarray, steps: np.ndarray, f: np.ndarray, g: np.ndarr
     half x'_k = heads[s] + offsets[t], k = s*CHUNK + t.  Each ascending chunk s adds
     v_s[b] * ((F * q_s) @ G^T)[b, r] * e_s[r] with v_s = exp(-2i*c*blocks*heads[s]) and
     e_s = exp(-2i*c*steps*heads[s]); F = exp(-2i*c*blocks (x) offsets) and
-    G = exp(-2i*c*steps (x) offsets) are computed once per pass, so a chunk takes B + R exps."""
+    G = exp(-2i*c*steps (x) offsets) are computed once per pass and shared by every chunk
+    of every half summed, so a chunk takes B + R exps."""
     out = np.zeros((blocks.size, steps.size), dtype=np.complex128)
     for s, head in enumerate(heads):
         qs = q[s * CHUNK:(s + 1) * CHUNK]
@@ -89,10 +92,12 @@ def accumulate(config: ExperimentConfig, derived: DerivedQuantities, grids: Grid
                behavior: QubitBehavior, *, threads: int = 1) -> AmplitudeField:
     """(S_lower, S_upper): A * slit_amplitude * sum over each slit of exp(i*c*(x'^2 - 2*x*x'))
     at every screen position x, as an amplitude field for ``behavior``; ``threads`` is
-    ignored.  Raises ``ValueError`` unless ``derived`` is ``derive(config)`` and both grid
-    arrays equal those of ``build_grids(config, derived)``; :class:`SimulationError` if the
-    largest engine phase P = c*max|x'|*(2*max|x| + max|x'|) is not finite or exceeds
-    ``PHASE_LIMIT``."""
+    ignored.  If the lower slit is the negated reverse of the upper slit and the screen grid
+    its own negated reverse, S_lower is S_upper reversed and only the upper half is summed;
+    otherwise both halves are.  Raises ``ValueError`` unless ``derived`` is ``derive(config)``
+    and both grid arrays equal those of ``build_grids(config, derived)``;
+    :class:`SimulationError` if the largest engine phase P = c*max|x'|*(2*max|x| + max|x'|)
+    is not finite or exceeds ``PHASE_LIMIT``."""
     own = derive(config)
     own_grids = build_grids(config, own)
     if not (derived == own and np.array_equal(grids.screen_positions, own_grids.screen_positions)
@@ -113,10 +118,19 @@ def accumulate(config: ExperimentConfig, derived: DerivedQuantities, grids: Grid
     f = np.exp(1j * (-2.0 * c * np.multiply.outer(blocks, offsets)))
     g = np.exp(1j * (-2.0 * c * np.multiply.outer(steps, offsets)))
     weight = kernel_prefactor(config, derived) * derived.slit_amplitude
-    lower, upper = (_half_sums(blocks, steps, f, g, h[::width],
-                               weight * np.exp(1j * (c * (h * h))), c).ravel()[:n]
-                    for h in (grids.lower_slit, grids.upper_slit))
-    return AmplitudeField(lower, upper, behavior, grids.screen_positions, config)
+
+    def slit_sum(h):
+        return _half_sums(blocks, steps, f, g, h[::width],
+                          weight * np.exp(1j * (c * (h * h))), c).ravel()[:n]
+
+    upper, screen = slit_sum(grids.upper_slit), grids.screen_positions
+    mirrored = (np.array_equal(grids.lower_slit, -grids.upper_slit[::-1])
+                and np.array_equal(screen, -screen[::-1]))
+    # On mirror-image grids S_lower(x_j) = S_upper(-x_j) = S_upper(x_{N-1-j}).  The upper
+    # sum is the one computed: its chunk heads start at the slit's inner edge, and it
+    # measured closer to the 40-digit oracle than the lower sum.
+    lower = upper[::-1].copy() if mirrored else slit_sum(grids.lower_slit)
+    return AmplitudeField(lower, upper, behavior, screen, config)
 
 
 def intensity(field: AmplitudeField) -> IntensityProfile:

@@ -59,8 +59,8 @@ def _route(behavior: QubitBehavior, half: str) -> tuple[int, int]:
 
 
 def _validate_n(n: int) -> None:
-    if n < 2 or n % 2 != 0:
-        raise ValueError(f"n must be an even integer >= 2, got {n}")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 2 or n % 2 != 0:
+        raise ValueError(f"n must be an even integer >= 2, got {n!r}")
 
 
 def _validate_indices(n: int, i_prime: int, e_prime: int, e: int) -> None:

@@ -86,7 +86,8 @@ def profile_svg(profile: IntensityProfile) -> str:
     def py(y):
         return _SVG_HEIGHT - _MARGIN_BOTTOM - (y - y_lo) / (y_hi - y_lo) * plot_h
 
-    points = " ".join(map("{:.2f},{:.2f}".format, px(xs).tolist(), py(ys).tolist()))
+    coords = np.column_stack((px(xs), py(ys))).ravel().tolist()
+    points = ("%.2f,%.2f " * xs.size % tuple(coords))[:-1]
     title = f"qubit behavior: {profile.behavior.value}"
 
     parts = [

@@ -218,7 +218,12 @@ class TestAccumulate:
         old = state_density(masked_row_reference(cfg, behavior))
         assert np.abs(density - old).max() <= MASKED_ROW_TOL[n] * old.max()
 
-    def test_one_engine_pass_for_all_behaviors(self, monkeypatch):
+    @pytest.mark.parametrize("kwargs, halves", [
+        ({}, 1),                                                # mirror-image grids
+        ({"geometry_mode": ds.GeometryMode.PAPER_LITERAL}, 2),
+        ({"screen_min": -0.1, "screen_max": 0.2}, 2),
+    ])
+    def test_one_engine_pass_for_all_behaviors(self, monkeypatch, kwargs, halves):
         calls = []
         half_sums = propagation._half_sums
 
@@ -227,9 +232,27 @@ class TestAccumulate:
             return half_sums(*args)
 
         monkeypatch.setattr(propagation, "_half_sums", counting_half_sums)
-        cfg = ds.ExperimentConfig(n_positions=16)
+        cfg = ds.ExperimentConfig(n_positions=16, **kwargs)
         ds.simulate_all(cfg, behaviors=tuple(QubitBehavior))
-        assert len(calls) == 2     # one pass: one matrix product per slit half
+        # one pass: one matrix product per slit half, or for the upper half alone when
+        # the lower slit and the screen are mirror images of the upper slit and the screen
+        assert len(calls) == halves
+
+    @pytest.mark.parametrize("n", [16, 1026, 2050, 8000])
+    @pytest.mark.parametrize("window", [0.15, 0.05])
+    def test_mirror_grids_give_mirror_sums_bitwise(self, n, window):
+        cfg = ds.ExperimentConfig(n_positions=n, screen_min=-window, screen_max=window)
+        field = _field(cfg, QubitBehavior.NONE)
+        assert field.upper.tobytes() == field.lower[::-1].tobytes()
+        for b in QubitBehavior:
+            density = ds.intensity(replace(field, behavior=b)).density
+            assert density.tobytes() == density[::-1].tobytes()
+
+    @pytest.mark.parametrize("n", [250, 2050])
+    def test_asymmetric_window_matches_oracle(self, n):
+        # [-0.1, 0.2] is not its own mirror image, so both slit halves are summed
+        cfg = ds.ExperimentConfig(n_positions=n, screen_min=-0.1, screen_max=0.2)
+        assert_matches_oracle(cfg, np.linspace(0, n - 1, 12).astype(int))
 
     @pytest.mark.parametrize("first", list(QubitBehavior))
     def test_rerouted_behaviors_match_their_own_pass(self, config_250, first):
@@ -322,9 +345,12 @@ class TestAccumulate:
         cfg = ds.ExperimentConfig(n_positions=16, screen_min=-bound, screen_max=bound)
         assert all(np.all(np.isfinite(p.density)) for p in ds.simulate_all(cfg).values())
 
-    def test_exp_count_per_pass(self, monkeypatch):
-        # N + 2(B + R)*ceil(N/1024) + (B + R)*min(512, N/2) complex exps per pass, with
-        # R = isqrt(N) screen steps and B = ceil(N/R) screen blocks.
+    @pytest.mark.parametrize("geometry, halves, at_8000", [
+        (ds.GeometryMode.CORRECTED, 1, 97_080), (ds.GeometryMode.PAPER_LITERAL, 2, 102_512)])
+    def test_exp_count_per_pass(self, monkeypatch, geometry, halves, at_8000):
+        # (N/2 + (B + R)*ceil(N/1024)) per slit half summed + (B + R)*min(512, N/2) complex
+        # exps per pass, with R = isqrt(N) screen steps and B = ceil(N/R) screen blocks; the
+        # corrected geometry on a symmetric window sums the upper half only.
         counted = []
         exp = np.exp
 
@@ -336,11 +362,12 @@ class TestAccumulate:
         monkeypatch.setattr(np, "exp", counting_exp)
         for n in (2, 16, 1026, 2050, 8000):
             counted.clear()
-            ds.simulate_all(ds.ExperimentConfig(n_positions=n))
+            ds.simulate_all(ds.ExperimentConfig(n_positions=n, geometry_mode=geometry))
             r = math.isqrt(n)
             b = -(-n // r)
-            assert sum(counted) == n + 2 * (b + r) * -(-n // 1024) + (b + r) * min(512, n // 2)
-        assert sum(counted) == 102_512
+            assert sum(counted) == (halves * (n // 2 + (b + r) * -(-n // 1024))
+                                    + (b + r) * min(512, n // 2))
+        assert sum(counted) == at_8000
 
     def test_non_finite_amplitude_names_the_cell(self, config_250):
         field = _field(config_250, QubitBehavior.REMEMBERS)     # lower -> e=2, upper -> e=1

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -171,3 +173,34 @@ class TestRenderMask:
         assert lines[0] == f"behavior={behavior.value} n={n}"
         assert len(lines) == 1 + 2 * n
         assert all(len(row) == 2 * n and set(row) <= {"#", "."} for row in lines[1:])
+
+
+# n counts slit positions: like ExperimentConfig.n_positions it must be a Python int, not a
+# bool, a float of integral value, a numpy integer or a string.
+NON_INT_N = [4.0, True, np.int64(4), "4"]
+
+
+def _rejects(n):
+    return pytest.raises(ValueError, match=re.escape(f"got {n!r}"))
+
+
+class TestNonIntegerN:
+    @pytest.mark.parametrize("n", NON_INT_N)
+    def test_is_allowed(self, n):
+        with _rejects(n):
+            is_allowed(QubitBehavior.NONE, n, 1, 1, 1)
+
+    @pytest.mark.parametrize("n", NON_INT_N)
+    def test_screen_state_weights(self, n):
+        with _rejects(n):
+            screen_state_weights(QubitBehavior.NONE, n)
+
+    @pytest.mark.parametrize("n", NON_INT_N)
+    def test_transition_mask(self, n):
+        with _rejects(n):
+            ds.TransitionMask(QubitBehavior.NONE, n)
+
+    @pytest.mark.parametrize("n", NON_INT_N)
+    def test_build_mask(self, n):
+        with _rejects(n):
+            ds.build_mask(QubitBehavior.NONE, n)
