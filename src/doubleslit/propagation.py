@@ -4,18 +4,25 @@ The stages are derive -> build_grids -> :func:`accumulate` -> :func:`intensity`.
 :func:`accumulate`, the one propagation pass, accepts only its own config's
 derived quantities and grids, and computes each slit's sum of kernel *
 slit_amplitude at every screen point x, less the factor exp(i*c*x^2) that all
-amplitudes at x share (Goodman, *Introduction to Fourier Optics*, ch. 4), as
-chunked complex matrix products per slit half.  Both grids are uniform, so the
-bilinear phase -2c*x*x' factors into block, step, chunk-head and offset
-terms; the block-by-offset and step-by-offset tables are computed once per
-pass and shared by every chunk.  On mirror-image grids (the corrected geometry
-on a window symmetric about 0) S_lower(x) = S_upper(-x), so only the upper
-slit is summed.  An :class:`AmplitudeField`
-carries the two (N,) sums and a behavior label; :func:`intensity` routes each
-whole sum into one screen qubit state e (:func:`doubleslit.qubit.screen_state`),
-so :func:`simulate_all` serves every behavior from one :func:`accumulate` by
-relabelling the field.  ``accumulate``'s ``threads`` is accepted and ignored;
-the matrix products run on BLAS's own threads.
+amplitudes at x share (Goodman, *Introduction to Fourier Optics*, ch. 4).  Both
+grids are uniform, so with the screen cut into blocks of R points (centre X_b,
+offsets rho_r) and each slit half taken about its centre x'_c (offsets u_k), the
+bilinear phase -2c*x*x' splits into the exact block and step factors of the
+centre, a block-by-offset factor and the small in-block term -2c*rho_r*u_k.
+Where R can hold more than TERMS points with that term within THETA, it is
+expanded in a Taylor series: a slit half costs (B+1)*N/2 complex exps and about
+B*(N/2)*TERMS multiply-adds, B = N/R, in place of N^2/2 (Candes, Demanet & Ying,
+*A fast butterfly algorithm for the computation of Fourier integral operators*,
+2009, for why an oscillatory kernel is low rank on such blocks).  On wide
+windows, where R would be small, the term comes from an exact step table and the
+half costs N^2/2 multiply-adds, as chunked complex matrix products.  On
+mirror-image grids (the corrected geometry on a window symmetric about 0)
+S_lower(x) = S_upper(-x), so only the upper slit is summed.  An
+:class:`AmplitudeField` carries the two (N,) sums and a behavior label;
+:func:`intensity` routes each whole sum into one screen qubit state e
+(:func:`doubleslit.qubit.screen_state`), so :func:`simulate_all` serves every
+behavior from one :func:`accumulate` by relabelling the field.  ``accumulate``'s
+``threads`` is accepted and ignored; the matrix products run on BLAS's own threads.
 """
 
 from __future__ import annotations
@@ -40,6 +47,8 @@ __all__ = [
 ]
 
 CHUNK = 512   # slit columns per matrix product; it fixes the summation order and so the bits
+THETA = 1.0   # rad: the largest in-block phase 2c*|rho*u| the Taylor basis expands
+TERMS = 20    # Taylor terms kept: the first one left out, THETA^20/20!, is below 2^-60
 PHASE_LIMIT = 1e-6 * 2.0 ** 53   # rad: float64 rounds a larger phase by more than 1e-6 rad
 
 
@@ -71,39 +80,102 @@ class IntensityProfile:
     config: ExperimentConfig
 
 
-def _half_sums(blocks: np.ndarray, steps: np.ndarray, f: np.ndarray, g: np.ndarray,
-               heads: np.ndarray, q: np.ndarray, c: float) -> np.ndarray:
-    """sum_k q[k] * exp(-2i*c*x*x'_k) at x = blocks[b] + steps[r], shape (B, R), for the slit
-    half x'_k = heads[s] + offsets[t], k = s*CHUNK + t.  Each ascending chunk s adds
-    v_s[b] * ((F * q_s) @ G^T)[b, r] * e_s[r] with v_s = exp(-2i*c*blocks*heads[s]) and
-    e_s = exp(-2i*c*steps*heads[s]); F = exp(-2i*c*blocks (x) offsets) and
-    G = exp(-2i*c*steps (x) offsets) are computed once per pass and shared by every chunk
-    of every half summed, so a chunk takes B + R exps."""
-    out = np.zeros((blocks.size, steps.size), dtype=np.complex128)
-    for s, head in enumerate(heads):
-        qs = q[s * CHUNK:(s + 1) * CHUNK]
-        v = np.exp(1j * (-2.0 * c * head * blocks))
-        e = np.exp(1j * (-2.0 * c * head * steps))
-        out += v[:, None] * ((f[:, :qs.size] * qs) @ g[:, :qs.size].T) * e
-    return out
+def _half_sums(h: np.ndarray, q: np.ndarray, c: float, blocks: np.ndarray, rho: np.ndarray,
+               chunk_sum, expand) -> np.ndarray:
+    """sum_k q[k] * exp(-2i*c*x*h[k]) at x = blocks[b] + rho[r], shape (B, R), for the slit
+    half h[k] = centre + u[k]: chunk_sum(u_s, q_s) sums each chunk of CHUNK slit points, in
+    ascending order, without the centre's phase; their total, times ``expand`` unless that
+    is None, is multiplied by exp(-2i*c*blocks*centre) and exp(-2i*c*rho*centre), which
+    carry the largest phases."""
+    centre = 0.5 * (h[0] + h[-1])
+    out = 0
+    for s in range(0, h.size, CHUNK):
+        out += chunk_sum(h[s:s + CHUNK] - centre, q[s:s + CHUNK])
+    if expand is not None:
+        out = out @ expand
+    return (np.exp(1j * (-2.0 * c * centre * blocks))[:, None] * out
+            * np.exp(1j * (-2.0 * c * centre * rho)))
 
 
-def accumulate(config: ExperimentConfig, derived: DerivedQuantities, grids: Grids,
-               behavior: QubitBehavior, *, threads: int = 1) -> AmplitudeField:
-    """(S_lower, S_upper): A * slit_amplitude * sum over each slit of exp(i*c*(x'^2 - 2*x*x'))
-    at every screen position x, as an amplitude field for ``behavior``; ``threads`` is
-    ignored.  If the lower slit is the negated reverse of the upper slit and the screen grid
-    its own negated reverse, S_lower is S_upper reversed and only the upper half is summed;
-    otherwise both halves are.  Raises ``ValueError`` unless ``derived`` is ``derive(config)``
-    and both grid arrays equal those of ``build_grids(config, derived)``;
-    :class:`SimulationError` if the largest engine phase P = c*max|x'|*(2*max|x| + max|x'|)
-    is not finite or exceeds ``PHASE_LIMIT``."""
+def _powers(y: np.ndarray) -> np.ndarray:
+    """y**m for m = 0 .. TERMS-1, shape (TERMS, y.size)."""
+    p = np.empty((TERMS, y.size))
+    p[0] = 1.0
+    for m in range(1, TERMS):
+        np.multiply(p[m - 1], y, out=p[m])
+    return p
+
+
+def _screen_basis(n: int, c: float, derived: DerivedQuantities, screen: np.ndarray):
+    """(blocks, rho, chunk_sum, expand) for :func:`_half_sums`: screen point j = b*R + r is
+    at blocks[b] + rho[r], and chunk_sum(u, q) is sum_k q[k] * exp(-2i*c*x*u[k]) over a
+    chunk of slit offsets u, as a (B, R) array or as (B, TERMS) moments that ``expand``
+    (TERMS, R) turns into one.
+
+    In a block of R screen points |2c*rho*u| <= (R - 1)*c*a_h*delta_screen, a_h the largest
+    |u|.  R is the largest block that keeps this within THETA.  Where R > TERMS the Taylor
+    basis costs less than the exact one and is taken: exp(-2i*c*rho*u) is the sum over
+    m < TERMS of (-i*theta)^m/m! * (rho/max rho)^m * (u/a_h)^m, so a chunk's moments are
+    (T * q) @ (u/a_h)^m with T = exp(-2i*c*blocks (x) u), and ``expand`` holds the rest.
+    Otherwise R = isqrt(N) and a chunk with middle m and offsets m + t adds
+    v * ((F * q) @ G) * e, with F = exp(-2i*c*blocks (x) t) and G = exp(-2i*c*t (x) rho)
+    shared by every chunk, v = exp(-2i*c*m*blocks) and e = exp(-2i*c*m*rho); ``expand``
+    is None."""
+    a_h = (n // 2 - 1) / 2 * derived.delta_slit
+    span = c * a_h * derived.delta_screen
+    stride = n if span * (n - 1) <= THETA else 1 + int(THETA / span)
+    taylor = stride > TERMS
+    if not taylor:
+        stride = math.isqrt(n)
+    rho = (np.arange(stride) - (stride - 1) / 2) * derived.delta_screen
+    blocks = screen[::stride] - rho[0]
+    if taylor:
+        theta = span * (stride - 1)
+        coeff = np.cumprod(np.concatenate(([1.0], -1j * theta / np.arange(1, TERMS))))
+
+        def moments(u, q):
+            t = np.exp(1j * (-2.0 * c * np.multiply.outer(blocks, u)))
+            return (t * q) @ _powers(u / a_h).T
+
+        return blocks, rho, moments, coeff[:, None] * _powers(rho / rho[-1])
+    width = min(CHUNK, n // 2)
+    offsets = (np.arange(width) - (width - 1) / 2) * derived.delta_slit
+    f = np.exp(1j * (-2.0 * c * np.multiply.outer(blocks, offsets)))
+    g = np.exp(1j * (-2.0 * c * np.multiply.outer(offsets, rho)))
+
+    def sums(u, q):
+        mid = u[0] - offsets[0]
+        v = np.exp(1j * (-2.0 * c * mid * blocks))
+        e = np.exp(1j * (-2.0 * c * mid * rho))
+        return v[:, None] * ((f[:, :q.size] * q) @ g[:q.size]) * e
+
+    return blocks, rho, sums, None
+
+
+def _check_own_inputs(config: ExperimentConfig, derived: DerivedQuantities,
+                      grids: Grids) -> None:
+    """``ValueError`` unless ``derived`` and ``grids`` are those of ``config``."""
     own = derive(config)
     own_grids = build_grids(config, own)
     if not (derived == own and np.array_equal(grids.screen_positions, own_grids.screen_positions)
             and np.array_equal(grids.slit_positions, own_grids.slit_positions)):
         raise ValueError("derived quantities or grids are not those of config: accumulate "
                          "takes derive(config) and build_grids(config, derive(config))")
+
+
+def accumulate(config: ExperimentConfig, derived: DerivedQuantities, grids: Grids,
+               behavior: QubitBehavior, *, threads: int = 1) -> AmplitudeField:
+    """(S_lower, S_upper): A * slit_amplitude * sum over each slit of exp(i*c*(x'^2 - 2*x*x'))
+    at every screen position x, as an amplitude field for ``behavior``; ``threads`` is
+    ignored.  The screen basis (:func:`_screen_basis`) is the Taylor one where its blocks
+    hold more than TERMS points and the exact step table otherwise.  If the lower slit is
+    the negated reverse of the upper slit and the screen grid its own negated reverse,
+    S_lower is S_upper reversed and only the upper half is summed; otherwise both halves
+    are.  Raises ``ValueError`` unless ``derived`` is ``derive(config)``
+    and both grid arrays equal those of ``build_grids(config, derived)``;
+    :class:`SimulationError` if the largest engine phase P = c*max|x'|*(2*max|x| + max|x'|)
+    is not finite or exceeds ``PHASE_LIMIT``."""
+    _check_own_inputs(config, derived, grids)
     n, c = config.n_positions, derived.phase_scale
     with np.errstate(over="ignore", invalid="ignore"):
         x_max, xp_max = np.abs(grids.screen_positions).max(), np.abs(grids.slit_positions).max()
@@ -111,24 +183,17 @@ def accumulate(config: ExperimentConfig, derived: DerivedQuantities, grids: Grid
     if not phase <= PHASE_LIMIT:
         raise SimulationError(f"largest engine phase {phase:.3e} rad exceeds {PHASE_LIMIT:.3e} "
                               f"rad, beyond which float64 rounds it by more than 1e-6 rad")
-    stride = math.isqrt(n)          # screen point j = b*stride + r, 0 <= r < stride
-    blocks, steps = grids.screen_positions[::stride], np.arange(stride) * derived.delta_screen
-    width = min(CHUNK, n // 2)      # slit point k = s*CHUNK + t, 0 <= t < width
-    offsets = np.arange(width) * derived.delta_slit
-    f = np.exp(1j * (-2.0 * c * np.multiply.outer(blocks, offsets)))
-    g = np.exp(1j * (-2.0 * c * np.multiply.outer(steps, offsets)))
+    blocks, rho, chunk_sum, expand = _screen_basis(n, c, derived, grids.screen_positions)
     weight = kernel_prefactor(config, derived) * derived.slit_amplitude
 
     def slit_sum(h):
-        return _half_sums(blocks, steps, f, g, h[::width],
-                          weight * np.exp(1j * (c * (h * h))), c).ravel()[:n]
+        q = weight * np.exp(1j * (c * (h * h)))
+        return _half_sums(h, q, c, blocks, rho, chunk_sum, expand).ravel()[:n]
 
     upper, screen = slit_sum(grids.upper_slit), grids.screen_positions
     mirrored = (np.array_equal(grids.lower_slit, -grids.upper_slit[::-1])
                 and np.array_equal(screen, -screen[::-1]))
-    # On mirror-image grids S_lower(x_j) = S_upper(-x_j) = S_upper(x_{N-1-j}).  The upper
-    # sum is the one computed: its chunk heads start at the slit's inner edge, and it
-    # measured closer to the 40-digit oracle than the lower sum.
+    # On mirror-image grids S_lower(x_j) = S_upper(-x_j) = S_upper(x_{N-1-j}).
     lower = upper[::-1].copy() if mirrored else slit_sum(grids.lower_slit)
     return AmplitudeField(lower, upper, behavior, screen, config)
 

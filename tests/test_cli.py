@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import doubleslit as ds
@@ -245,6 +245,8 @@ class TestRun:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=300, deadline=None)
     @given(content=fuzzed_config_file())
+    # c = pi/(lambda*L) is about 3e-298, so the engine's phase per screen step underflows
+    @example(content=b"N = 4\nZmax = 1e-1\na = 1e-9\nlambda = 1e298\n")
     def test_fuzzed_config_files_end_in_an_exit_code(self, tmp_path_factory, content):
         directory = tmp_path_factory.getbasetemp() / "fuzz"
         directory.mkdir(exist_ok=True)

@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -35,6 +36,18 @@ def _field(config, behavior, threads=1):
     derived = ds.derive(config)
     grids = ds.build_grids(config, derived)
     return ds.accumulate(config, derived, grids, behavior, threads=threads)
+
+
+def block_length(config):
+    """(R, taylor): the screen block length of the engine's rule and whether the Taylor basis
+    is taken.  R is the largest block whose in-block phase (R - 1)*c*a_h*delta_screen stays
+    within THETA = 1 rad, a_h the largest slit point's distance from its slit's centre; the
+    Taylor basis is taken when R exceeds TERMS = 20, and otherwise R = isqrt(N)."""
+    derived = ds.derive(config)
+    n = config.n_positions
+    span = derived.phase_scale * (n // 2 - 1) / 2 * derived.delta_slit * derived.delta_screen
+    r = n if span * (n - 1) <= 1.0 else 1 + int(1.0 / span)
+    return (r, True) if r > 20 else (math.isqrt(n), False)
 
 
 def oracle_densities(config, samples):
@@ -222,6 +235,9 @@ class TestAccumulate:
         ({}, 1),                                                # mirror-image grids
         ({"geometry_mode": ds.GeometryMode.PAPER_LITERAL}, 2),
         ({"screen_min": -0.1, "screen_max": 0.2}, 2),
+        ({"n_positions": 2000}, 1),                             # the Taylor basis
+        ({"n_positions": 2000, "geometry_mode": ds.GeometryMode.PAPER_LITERAL}, 2),
+        ({"n_positions": 2000, "screen_min": -30, "screen_max": 30}, 1),
     ])
     def test_one_engine_pass_for_all_behaviors(self, monkeypatch, kwargs, halves):
         calls = []
@@ -232,7 +248,7 @@ class TestAccumulate:
             return half_sums(*args)
 
         monkeypatch.setattr(propagation, "_half_sums", counting_half_sums)
-        cfg = ds.ExperimentConfig(n_positions=16, **kwargs)
+        cfg = ds.ExperimentConfig(**{"n_positions": 16, **kwargs})
         ds.simulate_all(cfg, behaviors=tuple(QubitBehavior))
         # one pass: one matrix product per slit half, or for the upper half alone when
         # the lower slit and the screen are mirror images of the upper slit and the screen
@@ -345,12 +361,16 @@ class TestAccumulate:
         cfg = ds.ExperimentConfig(n_positions=16, screen_min=-bound, screen_max=bound)
         assert all(np.all(np.isfinite(p.density)) for p in ds.simulate_all(cfg).values())
 
-    @pytest.mark.parametrize("geometry, halves, at_8000", [
-        (ds.GeometryMode.CORRECTED, 1, 97_080), (ds.GeometryMode.PAPER_LITERAL, 2, 102_512)])
-    def test_exp_count_per_pass(self, monkeypatch, geometry, halves, at_8000):
-        # (N/2 + (B + R)*ceil(N/1024)) per slit half summed + (B + R)*min(512, N/2) complex
-        # exps per pass, with R = isqrt(N) screen steps and B = ceil(N/R) screen blocks; the
-        # corrected geometry on a symmetric window sums the upper half only.
+    @pytest.mark.parametrize("kwargs, halves, n_pinned, pinned", [
+        ({}, 1, 8000, 29_399),
+        ({"geometry_mode": ds.GeometryMode.PAPER_LITERAL}, 2, 8000, 58_798),
+        ({"screen_min": -30, "screen_max": 30}, 1, 2000, 47_350),     # the exact basis
+    ])
+    def test_exp_count_per_pass(self, monkeypatch, kwargs, halves, n_pinned, pinned):
+        # Complex exps per pass, h the slit halves summed, R the block length and
+        # B = ceil(N/R) (block_length gives R and the basis): h*((B + 1)*N/2 + B + R) on the
+        # Taylor basis; h*(N/2 + B + R + (B + R)*ceil(N/1024)) + (B + R)*min(512, N/2) on
+        # the exact one.
         counted = []
         exp = np.exp
 
@@ -360,14 +380,73 @@ class TestAccumulate:
             return exp(z, *args, **kwargs)
 
         monkeypatch.setattr(np, "exp", counting_exp)
-        for n in (2, 16, 1026, 2050, 8000):
+        for n in (2, 16, 1026, 2000, 2050, 8000):
+            cfg = ds.ExperimentConfig(n_positions=n, **kwargs)
             counted.clear()
-            ds.simulate_all(ds.ExperimentConfig(n_positions=n, geometry_mode=geometry))
-            r = math.isqrt(n)
+            ds.simulate_all(cfg)
+            r, taylor = block_length(cfg)
             b = -(-n // r)
-            assert sum(counted) == (halves * (n // 2 + (b + r) * -(-n // 1024))
-                                    + (b + r) * min(512, n // 2))
-        assert sum(counted) == at_8000
+            if taylor:
+                assert sum(counted) == halves * ((b + 1) * n // 2 + b + r)
+            else:
+                assert sum(counted) == (halves * (n // 2 + b + r + (b + r) * -(-n // 1024))
+                                        + (b + r) * min(512, n // 2))
+            if n == n_pinned:
+                assert sum(counted) == pinned
+
+    @pytest.mark.parametrize("kwargs, taylor", [
+        ({"n_positions": 2000}, True),
+        ({"n_positions": 8000}, True),
+        ({"n_positions": 2000, "geometry_mode": ds.GeometryMode.PAPER_LITERAL}, True),
+        ({"n_positions": 8000, "geometry_mode": ds.GeometryMode.PAPER_LITERAL}, True),
+        ({"n_positions": 2050, "screen_min": -0.1, "screen_max": 0.2}, True),
+        ({"n_positions": 250, "screen_min": -0.1, "screen_max": 0.2}, True),
+        ({"n_positions": 2000, "screen_min": -30, "screen_max": 30}, False),
+        ({"n_positions": 2000, "screen_min": -1000, "screen_max": 1000}, False),
+        ({"n_positions": 16}, False),
+    ])
+    def test_step_basis_choice(self, monkeypatch, kwargs, taylor):
+        # The Taylor basis builds its monomials with _powers; the exact one never calls it.
+        calls = []
+        powers = propagation._powers
+
+        def counting_powers(y):
+            calls.append(y.size)
+            return powers(y)
+
+        monkeypatch.setattr(propagation, "_powers", counting_powers)
+        cfg = ds.ExperimentConfig(**kwargs)
+        _field(cfg, QubitBehavior.NONE)
+        assert block_length(cfg) == (calls[0] if taylor else math.isqrt(cfg.n_positions), taylor)
+        assert bool(calls) is taylor
+
+    def test_exact_basis_matches_oracle_on_a_wide_window(self):
+        # On +-30 m the Taylor blocks would hold 2 points, so the exact step table is used.
+        cfg = ds.ExperimentConfig(n_positions=2000, screen_min=-30, screen_max=30)
+        assert not block_length(cfg)[1]
+        assert_matches_oracle(cfg, np.linspace(0, 1999, 12).astype(int))
+
+    @pytest.mark.parametrize("kwargs, n, whole_pipeline, bytes_per_n", [
+        ({}, 64_000, True, 170),                                    # the Taylor basis
+        ({"screen_min": -30, "screen_max": 30}, 2000, False, 718),  # the exact basis
+    ])
+    def test_allocation_per_screen_point(self, kwargs, n, whole_pipeline, bytes_per_n):
+        # tracemalloc peak per screen point of simulate_all at N=64000 and of accumulate alone
+        # on +-30 m, at most what the factored-phase engine before the Taylor basis measured
+        # (170 and 718 bytes); an engine that forms an (N, N/2) or an (N/2, TERMS) table fails.
+        cfg = ds.ExperimentConfig(n_positions=n, **kwargs)
+        derived = ds.derive(cfg)
+        grids = ds.build_grids(cfg, derived)
+        tracemalloc.start()
+        try:
+            if whole_pipeline:
+                ds.simulate_all(cfg)
+            else:
+                ds.accumulate(cfg, derived, grids, QubitBehavior.NONE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bytes_per_n * n, f"{peak / n:.0f} bytes per screen point"
 
     def test_non_finite_amplitude_names_the_cell(self, config_250):
         field = _field(config_250, QubitBehavior.REMEMBERS)     # lower -> e=2, upper -> e=1
