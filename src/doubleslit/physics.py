@@ -9,11 +9,11 @@ amplitude from a slit position x' to a screen position x is the
 free-particle path-integral kernel
 
     K(x, x') = A * exp(B),
-    A = sqrt(m / (2*i*pi*hbar*(L/v))),
-    B = i*m*(x - x')^2 / (2*hbar*(L/v)),
+    A = sqrt(m / (2*i*pi*hbar*(L/v))),        |A|^2 = 1/(lambda*L),
+    B = i*m*(x - x')^2 / (2*hbar*(L/v))  =  i*c*(x - x')^2,   c = pi/(lambda*L),
 
-with the transit time fixed at L/v for every path (small-angle regime:
-L is enormous compared with both the slit scale and the screen span).
+with v = h/(lambda*m) and the transit time fixed at L/v for every path (small-angle
+regime: L is enormous compared with both the slit scale and the screen span).
 """
 
 from __future__ import annotations
@@ -107,11 +107,6 @@ class ExperimentConfig:
         if not isinstance(self.geometry_mode, GeometryMode):
             raise ConfigError(f"geometry_mode must be a GeometryMode, got {self.geometry_mode!r}")
 
-    @property
-    def reduced_planck(self) -> float:
-        """hbar = h / (2*pi)."""
-        return self.planck / (2.0 * math.pi)
-
 
 @dataclass(frozen=True)
 class DerivedQuantities:
@@ -126,24 +121,22 @@ class DerivedQuantities:
     delta_slit: float      # m, 2a / N
     delta_screen: float    # m, (Zmax - Zmin) / N
     slit_amplitude: float  # m^(1/2), delta_slit / sqrt(2a)
-    transit_time: float    # s, L / v
-    phase_scale: float     # 1/m^2, c = m / (2*hbar*L/v): the kernel phase is c*(x-x')^2
+    phase_scale: float     # 1/m^2, c = pi/(lambda*L): the kernel phase is c*(x-x')^2
 
 
 def derive(config: ExperimentConfig) -> DerivedQuantities:
-    """Velocity, grid spacings, slit amplitude, transit time and phase scale;
+    """Velocity, grid spacings, slit amplitude and phase scale;
     :class:`SimulationError` unless each is finite and positive."""
     try:
         velocity = config.planck / (config.wavelength * config.electron_mass)
         delta_slit = 2.0 * config.slit_width / config.n_positions
         delta_screen = (config.screen_max - config.screen_min) / config.n_positions
         slit_amplitude = delta_slit / math.sqrt(2.0 * config.slit_width)
-        transit_time = config.wall_to_screen / velocity
-        phase_scale = config.electron_mass / (2.0 * config.reduced_planck * transit_time)
+        phase_scale = math.pi / (config.wavelength * config.wall_to_screen)
     except ZeroDivisionError:
         raise SimulationError("derived quantities are not finite/positive: "
                               "a denominator underflows to zero") from None
-    values = (velocity, delta_slit, delta_screen, slit_amplitude, transit_time, phase_scale)
+    values = (velocity, delta_slit, delta_screen, slit_amplitude, phase_scale)
     if not all(math.isfinite(v) and v > 0 for v in values):
         raise SimulationError(f"derived quantities are not finite/positive: {values}")
     return DerivedQuantities(*values)
@@ -216,8 +209,12 @@ def kernel_prefactor(config: ExperimentConfig, derived: DerivedQuantities) -> co
     """The position-independent amplitude A = sqrt(m / (2*i*pi*hbar*(L/v))).
 
     The principal square root is used, so sqrt(1/i) = exp(-i*pi/4).  The
-    global phase cancels in any intensity, but a fixed branch keeps
-    amplitude-level outputs reproducible.
+    global phase cancels in any intensity, but a fixed branch keeps amplitude-level
+    outputs reproducible.  :class:`SimulationError` unless A is finite and nonzero.
     """
-    denom = 2j * math.pi * config.reduced_planck * derived.transit_time
-    return cmath.sqrt(config.electron_mass / denom)
+    hbar = config.planck / (2.0 * math.pi)
+    denom = 2j * math.pi * hbar * (config.wall_to_screen / derived.velocity)    # 2i*pi*hbar*T
+    a = cmath.sqrt(config.electron_mass / denom) if denom else 0j
+    if not (cmath.isfinite(a) and a):
+        raise SimulationError(f"kernel prefactor A = {a}: float64 under- or overflows hbar*L/v")
+    return a

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -321,3 +322,25 @@ class TestValidate:
         expected_literal = (cfg.wavelength * cfg.wall_to_screen
                             / (cfg.slit_separation + cfg.slit_width))
         assert flags["fringe_spacing"].measured == pytest.approx(expected_literal, rel=0.10)
+
+    def test_remembers_profile_without_first_minimum(self, profiles_250, config_250, tmp_path):
+        # A monotone remembers profile has no local minimum beyond its maximum on either
+        # side, so neither first minimum nor secondary maximum is measured and all four fail.
+        remembers = profiles_250[QubitBehavior.REMEMBERS]
+        profiles = {**profiles_250, QubitBehavior.REMEMBERS: replace(
+            remembers, density=np.linspace(0.0, 1.0, remembers.density.size))}
+        report = ds.validate(profiles, config_250)
+        features = [f"{feature}_{side}" for feature in ("first_minimum", "secondary_maximum")
+                    for side in ("positive", "negative")]
+        checks = {c.name: c for c in report.checks}
+        for name in features:
+            assert checks[name].measured is None and not checks[name].passed, name
+        text = report.to_text()
+        for name in features:
+            assert f"check_{name}_measured = nan\n" in text
+            assert f"check_{name}_pass = false\n" in text
+        path = tmp_path / "report.json"
+        ds.write_report(report, path)
+        tree = json.loads(path.read_text())
+        assert [c["measured"] for c in tree["checks"] if c["name"] in features] == [None] * 4
+        assert tree["measured"]["first_minimum"] is None

@@ -1,9 +1,11 @@
+import cmath
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import doubleslit as ds
 from doubleslit.errors import ConfigError, SimulationError
@@ -12,7 +14,6 @@ from reference import kernel
 # Frozen oracles, recomputed independently at 50-digit precision before the
 # implementation existed (mpmath, from the same double-precision constants).
 VELOCITY = 5914011.6047115034            # h / (lambda * m)
-TRANSIT_TIME = 1.6908996242133378e-7     # L / v
 SLIT_AMPLITUDE_2000 = 2.7386127875258306e-8   # delta_slit / sqrt(2a)
 KERNEL_MODULUS = 90166.963466743233      # sqrt(m*v/(h*L)) == 1/sqrt(lambda*L)
 KERNEL_PREFACTOR_PART = 63757.671306333832    # |A| / sqrt(2); A = part * (1 - 1j)
@@ -30,9 +31,6 @@ class TestExperimentConfig:
         assert (paper_config.screen_min, paper_config.screen_max) == (-0.15, 0.15)
         assert paper_config.n_positions == 2000
         assert paper_config.geometry_mode is ds.GeometryMode.CORRECTED
-
-    def test_reduced_planck(self, paper_config):
-        assert paper_config.reduced_planck == paper_config.planck / (2 * math.pi)
 
     @pytest.mark.parametrize("overrides", [
         {"electron_mass": 0.0},
@@ -59,6 +57,15 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ds.ExperimentConfig(**overrides)
 
+    @pytest.mark.parametrize("overrides", [
+        {"screen_min": -math.inf},
+        {"screen_max": math.nan},
+        {"screen_min": math.nan, "screen_max": math.inf},
+    ])
+    def test_non_finite_screen_bounds_rejected(self, overrides):
+        with pytest.raises(ConfigError, match="^screen bounds must be finite$"):
+            ds.ExperimentConfig(**overrides)
+
 
 class TestDerive:
     def test_velocity(self, paper_derived):
@@ -77,13 +84,12 @@ class TestDerive:
         assert paper_derived.slit_amplitude == pytest.approx(
             1.5e-12 / math.sqrt(3.0e-9), rel=1e-12)
 
-    def test_transit_time(self, paper_derived):
-        assert paper_derived.transit_time == pytest.approx(TRANSIT_TIME, rel=1e-15)
-
-    def test_phase_scale(self, paper_config, paper_derived):
-        # c = m/(2*hbar*L/v) = pi/(lambda*L)
-        assert paper_derived.phase_scale == pytest.approx(
-            math.pi / (paper_config.wavelength * paper_config.wall_to_screen), rel=1e-14)
+    @given(wavelength=st.floats(1e-13, 1e-8), wall_to_screen=st.floats(1e-3, 1e3))
+    @example(wavelength=1.23e-10, wall_to_screen=1.0)      # the reference constants
+    def test_phase_scale(self, wavelength, wall_to_screen):
+        # c = m/(2*hbar*L/v) = pi/(lambda*L) with v = h/(lambda*m), in one rounding
+        cfg = ds.ExperimentConfig(wavelength=wavelength, wall_to_screen=wall_to_screen)
+        assert ds.derive(cfg).phase_scale == math.pi / (wavelength * wall_to_screen)
 
     @pytest.mark.parametrize("n", [2, 16, 250, 2000])
     def test_discrete_slit_pmf_normalization(self, n):
@@ -218,9 +224,32 @@ class TestKernel:
         k = kernel(0.15, -3.8e-9, paper_config, paper_derived)
         assert abs(abs(complex(k)) / a - 1.0) < 1e-12
 
-    def test_non_finite_raises(self, paper_config):
-        broken = ds.DerivedQuantities(velocity=1.0, delta_slit=1.0, delta_screen=1.0,
-                                      slit_amplitude=1.0, transit_time=float("nan"),
-                                      phase_scale=1.0)
+    @given(mass=st.floats(1e-33, 1e-25), wavelength=st.floats(1e-13, 1e-8),
+           planck=st.floats(1e-35, 1e-32), wall_to_screen=st.floats(1e-3, 1e3))
+    @example(mass=9.109e-31, wavelength=1.23e-10, planck=6.6261e-34, wall_to_screen=1.0)
+    def test_prefactor_bitwise_from_hbar_and_transit_time(self, mass, wavelength, planck,
+                                                          wall_to_screen):
+        # A = sqrt(m/(2i*pi*hbar*T)) with hbar = h/(2*pi) and T = L/v, in that order of
+        # roundings, not the algebraically equal sqrt(1/(i*lambda*L))
+        cfg = ds.ExperimentConfig(electron_mass=mass, wavelength=wavelength, planck=planck,
+                                  wall_to_screen=wall_to_screen)
+        der = ds.derive(cfg)
+        hbar, transit_time = planck / (2 * math.pi), wall_to_screen / der.velocity
+        expected = cmath.sqrt(mass / (2j * math.pi * hbar * transit_time))
+        assert ds.kernel_prefactor(cfg, der) == expected
+
+    @pytest.mark.parametrize("overrides", [
+        # v = 1e300 is finite, but L/v underflows to 0
+        {"planck": 1.0, "wavelength": 1.0, "electron_mass": 1e-300, "wall_to_screen": 1e-30},
+        # v = 1e-300 is finite, but L/v overflows to inf
+        {"planck": 1e-10, "wavelength": 1.0, "electron_mass": 1e290, "wall_to_screen": 1e10},
+    ], ids=["transit-underflows", "transit-overflows"])
+    def test_prefactor_beyond_float64_raises(self, overrides):
+        cfg = ds.ExperimentConfig(n_positions=16, **overrides)
+        with pytest.raises(SimulationError, match="^kernel prefactor A = "):
+            ds.kernel_prefactor(cfg, ds.derive(cfg))
+
+    def test_non_finite_raises(self, paper_config, paper_derived):
+        broken = replace(paper_derived, velocity=float("nan"))
         with pytest.raises(SimulationError):
             kernel(0.1, 0.0, paper_config, broken)

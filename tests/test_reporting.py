@@ -107,6 +107,25 @@ class TestSvg:
         profile = profiles_250[QubitBehavior.NONE]
         assert ds.profile_svg(profile) == ds.profile_svg(profile)
 
+    def test_all_zero_density_plots_on_unit_axis(self, tmp_path):
+        # A flat zero profile has no peak to scale to, so the y axis runs from 0 to 1.
+        profile = ds.IntensityProfile(positions=np.linspace(-0.15, 0.15, 16),
+                                      density=np.zeros(16), behavior=QubitBehavior.NONE,
+                                      config=ds.ExperimentConfig(n_positions=16))
+        path = tmp_path / "zero.svg"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds.write_profile_svg(profile, path)
+        text = path.read_text()
+        assert text.endswith("</svg>\n")
+        root = ET.fromstring(text)
+        ns = "{http://www.w3.org/2000/svg}"
+        y_labels = [t.text for t in root.findall(f"{ns}text") if t.get("text-anchor") == "end"]
+        assert y_labels == ["0", "0.2", "0.4", "0.6", "0.8", "1"]
+        points = root.find(f"{ns}polyline").get("points").split()
+        # every point lies on the x axis, at y = _SVG_HEIGHT - _MARGIN_BOTTOM = 530
+        assert len(points) == 16 and {p.split(",")[1] for p in points} == {"530.00"}
+
     @pytest.mark.parametrize("positions, density, cause", [
         ([0.0], [1.0], "size >= 2"),
         ([1.0, 1.0], [1.0, 2.0], "does not lie above"),
