@@ -60,7 +60,7 @@ class AmplitudeField:
     sends each to the screen qubit state ``behavior`` assigns its slit.  Units
     are m^(-1/2) (amplitude density).
     Entries at screen position x omit the kernel's common factor
-    exp(i*c*x^2), c = m/(2*hbar*L/v); its modulus is 1, so no intensity changes.
+    exp(i*c*x^2), c = pi/(lambda*L); its modulus is 1, so no intensity changes.
     """
 
     lower: np.ndarray

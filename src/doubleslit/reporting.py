@@ -7,6 +7,7 @@ text before it opens the path, so a formatting error leaves the file as it was.
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 
@@ -29,12 +30,173 @@ __all__ = [
 
 CSV_HEADER = "x_m,probability_density"
 
+# Profiles are formatted with numpy (below) a chunk of rows at a time; one shorter than a
+# chunk keeps the %-template.  (numpy's fixed cost per chunk makes the two even at about
+# 100 rows; from there to a chunk the template takes up to 2.8 times as long.)
+_CSV_CHUNK_ROWS = 1024
+
 
 def write_profile_csv(profile: IntensityProfile, path) -> None:
-    """One row per screen position, ascending x, 17 significant digits, LF endings."""
-    rows = np.column_stack((profile.positions, profile.density)).ravel().tolist()
-    text = CSV_HEADER + "\n" + "%.17g,%.17g\n" * profile.positions.size % tuple(rows)
-    Path(path).write_bytes(text.encode("ascii"))
+    """One row per screen position, ascending x, 17 significant digits, LF endings.
+
+    Each number is written as ``"%.17g"`` writes its float64 value.  Raises
+    ``ValueError`` unless positions and density are 1-D of one size.
+    """
+    xs = np.asarray(profile.positions, dtype=np.float64)
+    ys = np.asarray(profile.density, dtype=np.float64)
+    if xs.ndim != 1 or ys.shape != xs.shape:
+        raise ValueError(f"a CSV needs 1-D positions and density of one size, "
+                         f"got shapes {xs.shape} and {ys.shape}")
+    if xs.size < _CSV_CHUNK_ROWS:
+        rows = np.column_stack((xs, ys)).ravel().tolist()
+        parts = [("%.17g,%.17g\n" * xs.size % tuple(rows)).encode("ascii")]
+    else:
+        parts = [_csv_rows(xs[i:i + _CSV_CHUNK_ROWS], ys[i:i + _CSV_CHUNK_ROWS])
+                 for i in range(0, xs.size, _CSV_CHUNK_ROWS)]
+    with open(path, "wb") as fh:
+        fh.write(CSV_HEADER.encode("ascii") + b"\n")
+        fh.writelines(parts)
+
+
+# The numpy formatter.  A value v with |v| in [1e-280, 1e280] is written from its 17
+# correctly rounded significant digits D, 10**16 <= D < 10**17, and its decimal exponent
+# k, so that v is about D * 10**(k - 16).  D = rint(|v| * 10**s) with s = 16 - k, and the
+# product is formed as p + tail: Dekker's exact two-product of |v| with the float64
+# nearest 10**s, plus |v| times that float's remainder, so tail is within about 1e-14
+# of the exact rest.  Zeros, non-finite values, values outside that range and values
+# whose tail lies within 1e-6 of a half (a decimal tie, or too near one to call) are
+# written by "%.17g" itself.
+_SPLIT = 134217729.0                    # 2**27 + 1: splits a float64 into two 26-bit halves
+_K_MIN, _K_MAX = -282, 282             # the k tabled: [1e-280, 1e280]'s and log10's misses
+_FAST_MIN, _FAST_MAX = 1e-280, 1e280
+# Each value gets a 48-byte template row that holds every byte any of its layouts
+# writes, in the order written:  "-0.000", then D's 17 digits each followed by ".",
+# then "e", the exponent's sign and three digits, and the row's terminator.  A layout
+# is the mask of the bytes it keeps.
+_MINUS, _PREFIX, _DIGIT, _E, _END, _TEMPLATE = 0, 1, 6, 40, 45, 48
+_LAYOUT_EXPONENTS = [*range(-4, 17), 17, 100]   # fixed notation, 2- and 3-digit exponents
+_NEGATIVE = len(_LAYOUT_EXPONENTS) * 17        # the layouts (+, k, nd), then (-, k, nd),
+_LITERAL = 2 * _NEGATIVE                        # then the literals
+
+
+def _split(a):
+    c = _SPLIT * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _layout(negative: bool, k: int, nd: int) -> list[int]:
+    """The template bytes "%.17g" keeps for a sign, exponent k and nd significant digits."""
+    cols = [_MINUS] if negative else []
+    fixed = -4 <= k <= 16
+    if fixed and k < 0:                                 # "0.", -k-1 zeros, the digits
+        digits = [_DIGIT + 2 * i for i in range(nd)]
+        return cols + list(range(_PREFIX, _PREFIX + 1 - k)) + digits + [_END]
+    point = k if fixed else 0                           # the digit the point follows
+    digits = [_DIGIT + 2 * i for i in range(max(nd, point + 1))]
+    cols += digits[:point + 1]
+    if len(digits) > point + 1:
+        cols += [digits[point] + 1] + digits[point + 1:]
+    if not fixed:
+        cols += [_E, _E + 1] + ([_E + 2] if abs(k) >= 100 else []) + [_E + 3, _E + 4]
+    return cols + [_END]
+
+
+@functools.cache
+def _csv_tables():
+    """The formatter's tables, built on first use rather than at import."""
+    his, los = [], []
+    for s in range(16 - _K_MIN, 15 - _K_MAX, -1):   # 10**(16-k) = hi + lo, in exact integers
+        num, den = (10 ** s, 1) if s >= 0 else (1, 10 ** -s)
+        hi = num / den
+        a, b = hi.as_integer_ratio()
+        his.append(hi)
+        los.append((num * b - a * den) / (den * b))
+    hi = np.array(his)
+    powers = np.stack((hi, *_split(hi), np.array(los)))
+    two = np.frombuffer(b"".join(b"%d.%d." % divmod(i, 10) for i in range(100)), np.uint32)
+    dotted = np.empty((100, 100, 2), np.uint32)        # "0.0.0.0." .. "9.9.9.9."
+    dotted[:, :, 0] = two[:, None]
+    dotted[:, :, 1] = two
+    lead = np.frombuffer(b"".join(b"-0.000%d." % i for i in range(10)), np.uint64)
+    exponent = np.frombuffer(b"".join(b"e%+04d\0\0\0" % k for k in range(_K_MIN, _K_MAX + 1)),
+                             np.uint64)                 # "e-282" .. "e+282"
+    # One layout per (sign, exponent, nd), then one per fallback string of 1..24 bytes,
+    # which is written over the start of its template row; k_rows[k - _K_MIN] is the
+    # row of (+, k, nd = 1).
+    layouts = [_layout(negative, k, nd) for negative in (False, True)
+               for k in _LAYOUT_EXPONENTS for nd in range(1, 18)]
+    layouts += [[*range(n), _END] for n in range(1, 25)]
+    masks = bytearray(len(layouts) * _TEMPLATE)
+    for row, cols in enumerate(layouts):
+        for col in cols:
+            masks[row * _TEMPLATE + col] = 1
+    masks = np.frombuffer(masks, bool).reshape(-1, _TEMPLATE)
+    laid_out_as = [k if -4 <= k <= 16 else 17 if abs(k) < 100 else 100
+                   for k in range(_K_MIN, _K_MAX + 1)]
+    k_rows = 17 * np.array([_LAYOUT_EXPONENTS.index(k) for k in laid_out_as])
+    tables = powers, lead, dotted.view(np.uint64).ravel(), exponent, masks, k_rows
+    for table in tables:                                # shared by every call
+        table.flags.writeable = False
+    return tables
+
+
+def _scaled(a, k, powers):
+    """|v| * 10**(16 - k) as p + tail, with p the float64 product and tail the rest."""
+    hi, hi_hi, hi_lo, lo = powers.take(k - _K_MIN, axis=1)
+    p = a * hi
+    a_hi, a_lo = _split(a)
+    err = a_lo * hi_lo - (((p - a_hi * hi_hi) - a_lo * hi_hi) - a_hi * hi_lo)
+    return p, err + a * lo
+
+
+def _digits(v, powers):
+    """(D, k, exact) for each value: "exact" marks the values "%.17g" must write."""
+    a = np.abs(v)
+    exact = ~((a >= _FAST_MIN) & (a <= _FAST_MAX))     # zeros, inf, nan, far out of range
+    a[exact] = 1.0
+    k = np.floor(np.log10(a)).astype(np.int64)          # may be one off next to a decade
+    p, tail = _scaled(a, k, powers)
+    # Correct k from the unrounded product, which lies in [1e16, 1e17) for the right k.
+    # Where the product is within rounding of either end, both k give the same digits
+    # once a D that rounds up to 10**17 carries into the exponent.
+    shift = ((p > 1e17) | ((p == 1e17) & (tail >= 0))).astype(np.int64)
+    shift -= (p < 1e16) | ((p == 1e16) & (tail < 0))
+    moved = np.flatnonzero(shift)
+    if moved.size:
+        k[moved] += shift[moved]
+        p[moved], tail[moved] = _scaled(a[moved], k[moved], powers)
+    exact |= np.abs(tail - np.floor(tail) - 0.5) < 1e-6
+    d = p.astype(np.int64) + np.rint(tail).astype(np.int64)
+    carry = d // 10 ** 17                               # 1 where D rounded up to 10**17
+    d -= carry * (9 * 10 ** 16)
+    k += carry
+    return d, k, exact
+
+
+def _csv_rows(xs, ys) -> bytes:
+    """The CSV rows of ``xs`` and ``ys``, byte for byte as "%.17g,%.17g\\n" writes them."""
+    powers, lead, dotted, exponent, masks, k_rows = _csv_tables()
+    v = np.column_stack((xs, ys)).ravel()
+    d, k, exact = _digits(v, powers)
+    words = np.empty((v.size, _TEMPLATE // 8), np.uint64)
+    for col in range(4, 0, -1):                         # D's four-digit groups, last first
+        d, group = np.divmod(d, 10_000)
+        words[:, col] = dotted.take(group)
+    words[:, 0] = lead.take(d)
+    words[:, 5] = exponent.take(k - _K_MIN)
+    rows = words.view(np.uint8)
+    rows[0::2, _END] = ord(",")
+    rows[1::2, _END] = ord("\n")
+    nonzero = rows[:, _DIGIT + 32:_DIGIT - 1:-2] != ord("0")   # D's digits, last first
+    nd = 17 - np.argmax(nonzero, axis=1)
+    layout = k_rows.take(k - _K_MIN) + (v < 0) * _NEGATIVE + nd - 1
+    for i in np.flatnonzero(exact):
+        text = ("%.17g" % v[i]).encode("ascii")
+        rows[i, :len(text)] = np.frombuffer(text, np.uint8)
+        layout[i] = _LITERAL + len(text) - 1
+    rows *= masks.take(layout, axis=0)                 # NUL out the bytes not written
+    return rows.tobytes().translate(None, b"\0")
 
 
 def read_profile_csv(path) -> tuple[np.ndarray, np.ndarray]:

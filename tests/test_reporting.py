@@ -1,4 +1,6 @@
 import json
+import re
+import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -78,6 +80,101 @@ class TestEmittersMatchPerRowFormatting:
             svg = ds.profile_svg(profile)
             expected = f'points="{svg_points(profile.positions, profile.density)}"/>'
             assert svg.count("<polyline") == 1 and expected in svg
+
+
+def _written_csv(positions, density, tmp_path) -> bytes:
+    profile = ds.IntensityProfile(positions=positions, density=density,
+                                  behavior=QubitBehavior.NONE,
+                                  config=ds.ExperimentConfig(n_positions=2))
+    path = tmp_path / "profile.csv"
+    ds.write_profile_csv(profile, path)
+    return path.read_bytes()
+
+
+def _decades():
+    """Every 10**k for k in -300..300, its two float64 neighbours on each side, and -1x."""
+    powers = 10.0 ** np.arange(-300, 301)
+    below = np.nextafter(powers, 0)
+    above = np.nextafter(powers, np.inf)
+    values = [powers, below, np.nextafter(below, 0), above, np.nextafter(above, np.inf)]
+    return np.concatenate(values + [-v for v in values])
+
+
+def _rounding_up():
+    """Values whose 17 digits round up into the next decade, and their neighbours."""
+    values = np.array([float("9.99999999999999995e%d" % k) for k in range(-300, 300)])
+    return np.concatenate((values, np.nextafter(values, 0), -values))
+
+
+def _ties():
+    """Exact 17-digit ties (a 16-digit integer plus 1/4 or 3/4) and near ties: values
+    m * 2**-(s+q) whose 17-digit product v * 10**s = m * 5**s / 2**q lies j / 2**q from
+    a half, within 2e-14 of it.  Both signs."""
+    rng = np.random.default_rng(7)
+    exact = rng.integers(10 ** 15, 2 ** 51, 2000) + rng.choice([0.25, 0.75], 2000)
+    near = []
+    for q in range(48, 53):
+        for s in range(1, 40):
+            inverse = pow(5 ** s, -1, 2 ** q)
+            for j in (1, -1, 3, -3):
+                m = (2 ** (q - 1) + j) * inverse % 2 ** q       # m * 5**s = 2**(q-1) + j
+                m += -(-(2 ** 52 - m) // 2 ** q) * 2 ** q       # the first m >= 2**52
+                if m < 2 ** 53 and 10 ** 16 <= m * 5 ** s // 2 ** q < 10 ** 17:
+                    near.append(m / 2 ** (s + q))               # exact: m has 53 bits
+    values = np.concatenate(([1000000000000000.25], exact, near))
+    return np.concatenate((values, -values))
+
+
+def _specials():
+    info = np.finfo(np.float64)
+    return np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, info.tiny,
+                     -info.tiny, info.max, -info.max, 1e-280, 1e280, 0.1, 1 / 3, 1e16, 1e17])
+
+
+class TestNumpyCsvFormatter:
+    """Profiles of 1024 rows or more are formatted with numpy; the bytes stay "%.17g"'s."""
+
+    @pytest.mark.parametrize("values", [
+        np.random.default_rng(2025).integers(0, 2 ** 64, 2 ** 17, dtype=np.uint64).view(np.float64),
+        _decades(), _rounding_up(), _ties(), _specials(),
+    ], ids=["random-bits", "decades", "rounding-up", "ties", "specials"])
+    def test_matches_percent_g(self, values, tmp_path):
+        xs = np.resize(values, max(values.size, 1024))          # repeats short cases
+        ys = xs[::-1].copy()
+        expected = CSV_HEADER + "\n" + profile_csv_rows(xs, ys)
+        assert _written_csv(xs, ys, tmp_path) == expected.encode("ascii")
+
+    @pytest.mark.parametrize("n", [16, 2000])
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64])
+    def test_density_cast_to_float64(self, n, dtype, tmp_path):
+        xs = np.linspace(-0.15, 0.15, n)
+        ys = (np.sinc(xs * 40) ** 2 * 1e3).astype(dtype)
+        expected = CSV_HEADER + "\n" + profile_csv_rows(xs, ys.astype(np.float64))
+        assert _written_csv(xs, ys, tmp_path) == expected.encode("ascii")
+
+    @pytest.mark.parametrize("positions, density", [
+        (np.zeros(2), np.zeros(1)),
+        (np.zeros(2000), np.zeros(1999)),
+        (np.zeros((2, 2)), np.zeros((2, 2))),
+        (np.float64(0.5), np.float64(1.0)),
+    ], ids=["one-short", "large-one-short", "2-D", "0-D"])
+    def test_shapes_named_in_error(self, positions, density, tmp_path):
+        shapes = f"{np.shape(positions)} and {np.shape(density)}"
+        with pytest.raises(ValueError, match=re.escape(shapes)):
+            _written_csv(positions, density, tmp_path)
+
+    def test_allocation_per_row(self, tmp_path):
+        # tracemalloc peak per row at N=64000, at most 100 bytes.  The %-template took 145,
+        # more than simulate_all's 134 bytes per screen point, so it was a run's peak.
+        n = 64_000
+        profile = ds.simulate_all(ds.ExperimentConfig(n_positions=n))[QubitBehavior.NONE]
+        tracemalloc.start()
+        try:
+            ds.write_profile_csv(profile, tmp_path / "profile.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 100 * n, f"{peak / n:.0f} bytes per row"
 
 
 class TestSvg:
