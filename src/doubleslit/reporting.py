@@ -30,10 +30,10 @@ __all__ = [
 
 CSV_HEADER = "x_m,probability_density"
 
-# Profiles are formatted with numpy (below) a chunk of rows at a time; one shorter than a
+# Both writers format with numpy (below) a chunk of rows at a time; a CSV shorter than a
 # chunk keeps the %-template.  (numpy's fixed cost per chunk makes the two even at about
 # 100 rows; from there to a chunk the template takes up to 2.8 times as long.)
-_CSV_CHUNK_ROWS = 1024
+_CHUNK_ROWS = 1024
 
 
 def write_profile_csv(profile: IntensityProfile, path) -> None:
@@ -47,12 +47,12 @@ def write_profile_csv(profile: IntensityProfile, path) -> None:
     if xs.ndim != 1 or ys.shape != xs.shape:
         raise ValueError(f"a CSV needs 1-D positions and density of one size, "
                          f"got shapes {xs.shape} and {ys.shape}")
-    if xs.size < _CSV_CHUNK_ROWS:
+    if xs.size < _CHUNK_ROWS:
         rows = np.column_stack((xs, ys)).ravel().tolist()
         parts = [("%.17g,%.17g\n" * xs.size % tuple(rows)).encode("ascii")]
     else:
-        parts = [_csv_rows(xs[i:i + _CSV_CHUNK_ROWS], ys[i:i + _CSV_CHUNK_ROWS])
-                 for i in range(0, xs.size, _CSV_CHUNK_ROWS)]
+        parts = [_csv_rows(xs[i:i + _CHUNK_ROWS], ys[i:i + _CHUNK_ROWS])
+                 for i in range(0, xs.size, _CHUNK_ROWS)]
     with open(path, "wb") as fh:
         fh.write(CSV_HEADER.encode("ascii") + b"\n")
         fh.writelines(parts)
@@ -217,6 +217,45 @@ _SVG_WIDTH, _SVG_HEIGHT = 960, 600
 _MARGIN_LEFT, _MARGIN_RIGHT, _MARGIN_TOP, _MARGIN_BOTTOM = 90, 30, 50, 70
 _N_XTICKS, _N_YTICKS = 7, 6
 
+# The polyline's numpy formatter.  A value v in (0, 999.995) is written from n, v * 100
+# rounded to the nearest integer: n = floor(q) with q = v * 100 + 0.5 in float64.  Both
+# roundings are monotone and keep the halves and integers they pass, so n is exact unless q
+# is an integer, where v * 100 is a tie or within 2**-36 of one.  Each value gets an 8-byte
+# row: n // 100 right-aligned with its leading blanks NUL, ".", the two digits of n % 100,
+# and "," or " ".  Values outside (0, 999.995) (zeros, negatives, which may print as
+# "-0.00", non-finite values) and those with an integer q get the row "%.2f" instead, and
+# are written by it.
+
+
+@functools.cache
+def _svg_tables():
+    """The polyline's integer and two-digit tables and its "%.2f" row, built on first use."""
+    tables = (b"".join(b"%3d.\0\0\0\0" % i for i in range(1000)).replace(b" ", b"\0"),
+              b"".join(b"\0\0\0\0%02d\0\0" % i for i in range(100)), b"%.2f\0\0\0\0")
+    return [np.frombuffer(table, np.int64) for table in tables]   # read-only views
+
+
+def _svg_rows(xs, ys) -> bytes:
+    """The polyline points of ``xs`` and ``ys``, byte for byte as "%.2f,%.2f " writes them."""
+    ints, cents, template = _svg_tables()
+    v = np.column_stack((xs, ys)).ravel()
+    exact = ~((v > 0) & (v < 999.995))
+    q = v.copy()
+    q[exact] = 0.0
+    q *= 100
+    q += 0.5
+    n = np.floor(q)
+    exact |= q == n
+    hi, lo = np.divmod(n.astype(np.int64), 100)
+    words = ints.take(hi) + cents.take(lo)              # disjoint bytes, so the sum joins them
+    fallback = np.flatnonzero(exact)
+    words[fallback] = template
+    rows = words.view(np.uint8).reshape(-1, 8)
+    rows[0::2, 6] = ord(",")
+    rows[1::2, 6] = ord(" ")
+    text = rows.tobytes().translate(None, b"\0")
+    return text % tuple(v[fallback].tolist()) if fallback.size else text
+
 
 def profile_svg(profile: IntensityProfile) -> str:
     """Self-contained SVG line plot of a profile, one polyline, with axis ticks.
@@ -248,8 +287,9 @@ def profile_svg(profile: IntensityProfile) -> str:
     def py(y):
         return _SVG_HEIGHT - _MARGIN_BOTTOM - (y - y_lo) / (y_hi - y_lo) * plot_h
 
-    coords = np.column_stack((px(xs), py(ys))).ravel().tolist()
-    points = ("%.2f,%.2f " * xs.size % tuple(coords))[:-1]
+    xp, yp = px(xs), py(ys)
+    points = b"".join([_svg_rows(xp[i:i + _CHUNK_ROWS], yp[i:i + _CHUNK_ROWS])
+                       for i in range(0, xs.size, _CHUNK_ROWS)])[:-1].decode("ascii")
     title = f"qubit behavior: {profile.behavior.value}"
 
     parts = [
@@ -296,6 +336,7 @@ def profile_svg(profile: IntensityProfile) -> str:
 
 
 def write_profile_svg(profile: IntensityProfile, path) -> None:
+    """Write ``profile_svg(profile)`` to ``path`` as UTF-8."""
     Path(path).write_bytes(profile_svg(profile).encode("utf-8"))
 
 

@@ -46,6 +46,11 @@ def svg_points(positions, density) -> str:
     return " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(positions, density))
 
 
+def points_2f(xs, ys) -> str:
+    """Plot coordinates as the polyline writes them, one "%.2f,%.2f" pair at a time."""
+    return " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
+
+
 def first_minimum(profile) -> float:
     """``find_first_minimum`` as a scan one sample at a time: the position of the first
     strict local minimum right of the global maximum."""

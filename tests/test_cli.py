@@ -319,3 +319,17 @@ sys.exit(code)
                                tmp_path)
         assert result.returncode == 0, result.stderr
         assert result.stdout == "[]\n"
+
+    def test_import_builds_no_formatter_tables(self, tmp_path):
+        # The writers' digit tables are built by the first call that needs them, not at import.
+        code = """
+import doubleslit, doubleslit.cli
+from doubleslit import reporting as r
+sizes = lambda: print(r._csv_tables.cache_info().currsize, r._svg_tables.cache_info().currsize)
+sizes()
+doubleslit.cli.main(["--qubit", "none", "--n", "1024", "--csv", "p.csv", "--svg", "p.svg"])
+sizes()
+"""
+        result = _fresh_python(code, tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[0] == "0 0" and result.stdout.endswith("1 1\n")

@@ -8,17 +8,37 @@ import numpy as np
 import pytest
 
 import doubleslit as ds
+from doubleslit.physics import GeometryMode
 from doubleslit.qubit import QubitBehavior
-from doubleslit.reporting import CSV_HEADER
-from reference import profile_csv_rows, svg_points
+from doubleslit.reporting import CSV_HEADER, _svg_rows
+from reference import points_2f, profile_csv_rows, svg_points
 
 
-@pytest.fixture(scope="module", params=[16, 250, 2000])
+@pytest.fixture(scope="module", params=[16, 250, 2000, 8000, "paper-1026"])
 def profiles_by_n(request):
-    """Every behavior's profile at N 16, 250 and 2000."""
-    if request.param == 16:
-        return ds.simulate_all(ds.ExperimentConfig(n_positions=16))
-    return request.getfixturevalue(f"profiles_{request.param}")
+    """Every behavior's profile at N 16, 250, 2000 and 8000, and at N=1026 in the paper's
+    geometry."""
+    if request.param in (250, 2000):
+        return request.getfixturevalue(f"profiles_{request.param}")
+    if request.param == "paper-1026":
+        return ds.simulate_all(ds.ExperimentConfig(n_positions=1026,
+                                                   geometry_mode=GeometryMode.PAPER_LITERAL))
+    return ds.simulate_all(ds.ExperimentConfig(n_positions=request.param))
+
+
+@pytest.fixture(scope="module")
+def profile_64000():
+    return ds.simulate_all(ds.ExperimentConfig(n_positions=64_000))[QubitBehavior.NONE]
+
+
+def _peak_alloc(write, *args) -> int:
+    """The tracemalloc peak of one call, in bytes."""
+    tracemalloc.start()
+    try:
+        write(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestCsv:
@@ -163,18 +183,95 @@ class TestNumpyCsvFormatter:
         with pytest.raises(ValueError, match=re.escape(shapes)):
             _written_csv(positions, density, tmp_path)
 
-    def test_allocation_per_row(self, tmp_path):
+    def test_allocation_per_row(self, profile_64000, tmp_path):
         # tracemalloc peak per row at N=64000, at most 100 bytes.  The %-template took 145,
         # more than simulate_all's 134 bytes per screen point, so it was a run's peak.
-        n = 64_000
-        profile = ds.simulate_all(ds.ExperimentConfig(n_positions=n))[QubitBehavior.NONE]
-        tracemalloc.start()
-        try:
-            ds.write_profile_csv(profile, tmp_path / "profile.csv")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        n = profile_64000.positions.size
+        peak = _peak_alloc(ds.write_profile_csv, profile_64000, tmp_path / "profile.csv")
         assert peak <= 100 * n, f"{peak / n:.0f} bytes per row"
+
+
+def _ties_and_bounds():
+    """Exact ties of "%.2f" and the 999.995 boundary, each with two float64 neighbours on
+    either side."""
+    values = np.array([0.125, 0.375, 12.625, 998.875, 999.99, 999.995])
+    below, above = np.nextafter(values, 0), np.nextafter(values, np.inf)
+    return np.concatenate((values, below, np.nextafter(below, 0),
+                           above, np.nextafter(above, np.inf)))
+
+
+# Values outside (0, 999.995): zeros, negatives, large and non-finite.
+_OUTSIDE = [0.0, -0.0, -0.001, -0.004, -5.0, 1000.0, 1e6, 1e308, np.inf, -np.inf, np.nan]
+
+
+def _halves():
+    """(m + 1/2) / 100 for every m below 10**5, and its float64 neighbours: values whose
+    product with 100 rounds to a half or lies within an ulp or two of one."""
+    values = (np.arange(10 ** 5) + 0.5) / 100
+    return np.concatenate((values, np.nextafter(values, 0), np.nextafter(values, np.inf)))
+
+
+def _plot(positions, density):
+    return ds.IntensityProfile(positions=np.asarray(positions, dtype=float),
+                               density=np.asarray(density, dtype=float),
+                               behavior=QubitBehavior.NONE,
+                               config=ds.ExperimentConfig(n_positions=2))
+
+
+class TestNumpySvgFormatter:
+    """The polyline is formatted with numpy; its bytes stay "%.2f"'s."""
+
+    @pytest.mark.parametrize("values", [
+        np.random.default_rng(2026).uniform(0, 1000, 2 * 10 ** 5),
+        np.arange(2 * 80_000) / 160, np.concatenate((_ties_and_bounds(), _OUTSIDE)), _halves(),
+    ], ids=["random", "k-over-160", "ties-bounds-outside", "halves"])
+    def test_matches_percent_f(self, values):
+        xs, ys = values, values[::-1]
+        assert _svg_rows(xs, ys) == (points_2f(xs, ys) + " ").encode("ascii")
+
+    def test_random_plot(self):
+        # Positions in [-90/840, 910/840) with x_lo = 0 and x_hi = 1 put x in [0, 1000).
+        rng = np.random.default_rng(2027)
+        positions = rng.uniform(-90 / 840, 910 / 840, 10 ** 5)
+        positions[0], positions[-1] = 0.0, 1.0
+        density = rng.uniform(-0.9, 1.0, positions.size)
+        svg = ds.profile_svg(_plot(positions, density))
+        assert f'points="{svg_points(positions, density)}"/>' in svg
+
+    def test_ties_on_the_plot(self):
+        # With a density peak of 1 the plot's y is 530 - y * 480: step each y one ulp at a
+        # time until it lands on its target.  Below 90, only the ties themselves lie on the
+        # plot's grid, not their neighbours.
+        targets = _ties_and_bounds()
+        density = [1.0]
+        for target in targets:
+            y = (530 - target) / 480
+            for _ in range(64):
+                if 530 - y * 480 == target:
+                    density.append(y)
+                    break
+                y = np.nextafter(y, -np.inf if 530 - y * 480 < target else np.inf)
+        assert len(density) == 1 + np.count_nonzero((targets > 90) | (targets % 0.125 == 0))
+        positions = np.linspace(0.0, 1.0, len(density))
+        expected = svg_points(positions, density)
+        assert f'points="{expected}"/>' in ds.profile_svg(_plot(positions, density))
+
+    @pytest.mark.parametrize("positions, density, shown", [
+        ([0.0, 0.5, 0.25, 1.0], [1.0, -1e308, 2.0, 1.0], "inf"),
+        ([0.0, -5.0, 3.0, -0.10714285714285716, -90 / 840, 1.0], [1.0, 2.0, 0.5, 1.0, 0.0, 0.0],
+         "-4110.00,50.00 2610.00,410.00 -0.00,290.00 0.00,530.00"),
+    ], ids=["inf-coordinate", "non-monotonic-positions"])
+    def test_edge_plots(self, positions, density, shown):
+        with np.errstate(over="ignore"):                 # -1e308 / 2 * 480 overflows
+            expected = svg_points(np.array(positions), np.array(density))
+            svg = ds.profile_svg(_plot(positions, density))
+        assert shown in expected and f'points="{expected}"/>' in svg
+
+    def test_allocation_per_point(self, profile_64000):
+        # tracemalloc peak per point at N=64000, at most 120 bytes, the %-template's figure.
+        n = profile_64000.positions.size
+        peak = _peak_alloc(ds.profile_svg, profile_64000)
+        assert peak <= 120 * n, f"{peak / n:.0f} bytes per point"
 
 
 class TestSvg:
