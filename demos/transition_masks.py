@@ -20,4 +20,5 @@ N_EXPORT = 8
 for behavior in ds.QubitBehavior:
     mask = ds.build_mask(behavior, N_EXPORT)
     print(ds.render_mask(mask))
-    print(f"interference possible: {ds.interference_possible(mask)}\n")
+    both_slits_meet = ds.screen_state(behavior, "lower") == ds.screen_state(behavior, "upper")
+    print(f"interference possible: {both_slits_meet}\n")

@@ -26,12 +26,10 @@ import numpy as np
 
 __all__ = [
     "QubitBehavior",
-    "is_allowed",
     "screen_state",
     "screen_state_weights",
     "TransitionMask",
     "build_mask",
-    "interference_possible",
     "render_mask",
 ]
 
@@ -63,38 +61,15 @@ def _validate_n(n: int) -> None:
         raise ValueError(f"n must be an even integer >= 2, got {n!r}")
 
 
-def _validate_indices(n: int, i_prime: int, e_prime: int, e: int) -> None:
-    _validate_n(n)
-    if not 1 <= i_prime <= n:
-        raise IndexError(f"slit index i' must be in 1..{n}, got {i_prime}")
-    if e_prime not in (1, 2):
-        raise IndexError(f"wall qubit state e' must be 1 or 2, got {e_prime}")
-    if e not in (1, 2):
-        raise IndexError(f"screen qubit state e must be 1 or 2, got {e}")
-
-
-def is_allowed(behavior: QubitBehavior, n: int, i_prime: int, e_prime: int, e: int) -> bool:
-    """Whether the composite transition (i', e') -> (any screen position, e) is allowed.
-
-    Indices are 1-based: i' in 1..n with i' <= n/2 the lower slit, e' and e
-    in {1, 2}.  The screen position index never enters; admissibility is
-    constant along screen rows.
-    """
-    _validate_indices(n, i_prime, e_prime, e)
-    half = "lower" if i_prime <= n // 2 else "upper"
-    return _route(behavior, half) == (e_prime, e)
-
-
 def screen_state(behavior: QubitBehavior, half: str) -> int:
     """Screen qubit state e that receives the whole sum of ``half`` ("lower" or "upper")."""
     return _route(behavior, half)[1]
 
 
 def screen_state_weights(behavior: QubitBehavior, n: int) -> np.ndarray:
-    """(n, 2) array of 0/1 weights: weights[i'-1, e-1] = sum over e' of is_allowed.
+    """(n, 2) array of 0/1 weights: weights[i'-1, e-1] = 1 where slit cell i' reaches e.
 
-    Exactly one wall qubit state is admissible per slit position, so
-    entries are 0.0 or 1.0 and each row sums to 1.
+    Exactly one (e', e) is admissible per slit position, so each row sums to 1.
     """
     _validate_n(n)
     weights = np.zeros((n, 2))
@@ -142,11 +117,6 @@ class TransitionMask:
 def build_mask(behavior: QubitBehavior, n: int) -> TransitionMask:
     """The :class:`TransitionMask` of ``behavior`` over n slit positions."""
     return TransitionMask(behavior=behavior, n=n)
-
-
-def interference_possible(mask: TransitionMask) -> bool:
-    """True when some screen qubit state collects amplitude from both slits."""
-    return screen_state(mask.behavior, "lower") == screen_state(mask.behavior, "upper")
 
 
 def render_mask(mask: TransitionMask) -> str:

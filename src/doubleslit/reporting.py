@@ -30,9 +30,7 @@ __all__ = [
 
 CSV_HEADER = "x_m,probability_density"
 
-# Both writers format with numpy (below) a chunk of rows at a time; a CSV shorter than a
-# chunk keeps the %-template.  (numpy's fixed cost per chunk makes the two even at about
-# 100 rows; from there to a chunk the template takes up to 2.8 times as long.)
+# Both writers format with numpy (below), a chunk of rows at a time.
 _CHUNK_ROWS = 1024
 
 
@@ -47,12 +45,8 @@ def write_profile_csv(profile: IntensityProfile, path) -> None:
     if xs.ndim != 1 or ys.shape != xs.shape:
         raise ValueError(f"a CSV needs 1-D positions and density of one size, "
                          f"got shapes {xs.shape} and {ys.shape}")
-    if xs.size < _CHUNK_ROWS:
-        rows = np.column_stack((xs, ys)).ravel().tolist()
-        parts = [("%.17g,%.17g\n" * xs.size % tuple(rows)).encode("ascii")]
-    else:
-        parts = [_csv_rows(xs[i:i + _CHUNK_ROWS], ys[i:i + _CHUNK_ROWS])
-                 for i in range(0, xs.size, _CHUNK_ROWS)]
+    parts = [_csv_rows(xs[i:i + _CHUNK_ROWS], ys[i:i + _CHUNK_ROWS])
+             for i in range(0, xs.size, _CHUNK_ROWS)]
     with open(path, "wb") as fh:
         fh.write(CSV_HEADER.encode("ascii") + b"\n")
         fh.writelines(parts)
@@ -261,7 +255,8 @@ def profile_svg(profile: IntensityProfile) -> str:
     """Self-contained SVG line plot of a profile, one polyline, with axis ticks.
 
     Raises ``ValueError`` unless positions and density are 1-D of one size >= 2,
-    the last position lies above the first and every density is finite.
+    the last position lies above the first, every density is finite and every
+    point's plot coordinates are finite (which rules out a non-finite position).
     """
     xs = np.asarray(profile.positions, dtype=float)
     ys = np.asarray(profile.density, dtype=float)
@@ -287,7 +282,12 @@ def profile_svg(profile: IntensityProfile) -> str:
     def py(y):
         return _SVG_HEIGHT - _MARGIN_BOTTOM - (y - y_lo) / (y_hi - y_lo) * plot_h
 
-    xp, yp = px(xs), py(ys)
+    with np.errstate(over="ignore", invalid="ignore"):
+        xp, yp = px(xs), py(ys)
+    on_plot = np.isfinite(xp) & np.isfinite(yp)       # a non-finite position, or overflow
+    if not on_plot.all():
+        i = int(np.argmin(on_plot))
+        raise ValueError(f"point {i} at ({xs[i]}, {ys[i]}) has no finite plot coordinates")
     points = b"".join([_svg_rows(xp[i:i + _CHUNK_ROWS], yp[i:i + _CHUNK_ROWS])
                        for i in range(0, xs.size, _CHUNK_ROWS)])[:-1].decode("ascii")
     title = f"qubit behavior: {profile.behavior.value}"

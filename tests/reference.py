@@ -5,6 +5,24 @@ import numpy as np
 from doubleslit import reporting as r
 from doubleslit.errors import AnalysisError, SimulationError
 from doubleslit.physics import DerivedQuantities, ExperimentConfig, kernel_prefactor
+from doubleslit.qubit import QubitBehavior
+
+# The allowed (slit half, e', e) combinations of each behavior, written down from the
+# behavioral rules directly: exactly two per behavior.
+ALLOWED_COMBOS = {
+    QubitBehavior.NONE: {("lower", 1, 1), ("upper", 1, 1)},
+    QubitBehavior.REMEMBERS: {("lower", 2, 2), ("upper", 1, 1)},
+    QubitBehavior.FORGETS: {("lower", 2, 1), ("upper", 1, 1)},
+}
+
+
+def is_allowed(behavior, n, i_prime, e_prime, e) -> bool:
+    """Whether the composite transition (i', e') -> (any screen position, e) is allowed.
+
+    Indices are 1-based: i' in 1..n with i' <= n/2 the lower slit, e' and e in {1, 2}.
+    """
+    half = "lower" if i_prime <= n // 2 else "upper"
+    return (half, e_prime, e) in ALLOWED_COMBOS[behavior]
 
 
 def kernel(x, x_prime, config: ExperimentConfig, derived: DerivedQuantities):

@@ -26,6 +26,7 @@ from scipy.special import sici
 import doubleslit as ds
 from doubleslit.cli import main
 from doubleslit.qubit import QubitBehavior
+from reference import is_allowed
 
 
 def criterion(num: int, name: str, ok: bool, detail: str = "") -> bool:
@@ -192,24 +193,21 @@ def test_c07_remembers_decomposition(paper_config, report_2000):
 
 
 def test_c08_mask_matches_brute_force():
-    combos = {
-        QubitBehavior.NONE: {("lower", 1, 1), ("upper", 1, 1)},
-        QubitBehavior.REMEMBERS: {("lower", 2, 2), ("upper", 1, 1)},
-        QubitBehavior.FORGETS: {("lower", 2, 1), ("upper", 1, 1)},
-    }
     n = 4
     ok = True
     for behavior in QubitBehavior:
-        for i_prime in range(1, n + 1):
-            half = "lower" if i_prime <= n // 2 else "upper"
-            allowed_pairs = 0
-            for e_prime in (1, 2):
-                for e in (1, 2):
-                    expected = (half, e_prime, e) in combos[behavior]
-                    got = ds.is_allowed(behavior, n, i_prime, e_prime, e)
-                    ok = ok and (got == expected)
-                    allowed_pairs += got
-            ok = ok and allowed_pairs == 1
+        table = ds.build_mask(behavior, n).composite_table()
+        expected = [[is_allowed(behavior, n, i_prime, e_prime, e)
+                     for e_prime in (1, 2) for i_prime in range(1, n + 1)]
+                    for e in (1, 2) for _ in range(n)]
+        ok = ok and table.tolist() == expected
+        # one (e', e) per (screen position, slit position) pair
+        ok = ok and (table.reshape(2, n, 2, n).sum(axis=(0, 2)) == 1).all()
+        # the routing sends each slit half to the one screen state its cells reach
+        for half, i_prime in (("lower", 1), ("upper", n)):
+            reached = {e for e_prime in (1, 2) for e in (1, 2)
+                       if is_allowed(behavior, n, i_prime, e_prime, e)}
+            ok = ok and reached == {ds.screen_state(behavior, half)}
     assert criterion(8, "mask equals brute-force enumeration at n=4", ok)
 
 

@@ -1,4 +1,7 @@
+import ast
+import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -30,3 +33,38 @@ def test_module_all_lists_every_public_function_and_class(module):
                and value.__module__ == module.__name__}
     listed = {name for name in module.__all__ if is_code(getattr(module, name))}
     assert listed == defined
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _trees(source: str):
+    """The module's syntax tree, then that of each string in it that imports from the
+    package (code the benchmark runs in a child interpreter)."""
+    tree = ast.parse(source)
+    yield tree
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and "from doubleslit" in str(node.value):
+            yield ast.parse(node.value)
+
+
+def _bench_imports():
+    """(file, module, name) for every name a ``from doubleslit... import`` in bench/*.py
+    takes."""
+    found = []
+    for path in sorted(BENCH.glob("*.py")):
+        for tree in _trees(path.read_text(encoding="utf-8")):
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("doubleslit"):
+                    found += [(path.name, node.module, alias.name) for alias in node.names]
+    return found
+
+
+def test_bench_imports_exist():
+    # The benchmark imports these names at run time; a name deleted from the package
+    # would fail every benchmark run, so it fails here first.
+    imports = _bench_imports()
+    assert imports
+    missing = [f"{file}: from {module} import {name}" for file, module, name in imports
+               if not hasattr(importlib.import_module(module), name)]
+    assert not missing

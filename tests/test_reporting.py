@@ -152,15 +152,21 @@ def _specials():
 
 
 class TestNumpyCsvFormatter:
-    """Profiles of 1024 rows or more are formatted with numpy; the bytes stay "%.17g"'s."""
+    """Every profile is formatted with numpy, 1024 rows at a time; the bytes stay "%.17g"'s."""
 
     @pytest.mark.parametrize("values", [
         np.random.default_rng(2025).integers(0, 2 ** 64, 2 ** 17, dtype=np.uint64).view(np.float64),
         _decades(), _rounding_up(), _ties(), _specials(),
     ], ids=["random-bits", "decades", "rounding-up", "ties", "specials"])
     def test_matches_percent_g(self, values, tmp_path):
-        xs = np.resize(values, max(values.size, 1024))          # repeats short cases
-        ys = xs[::-1].copy()
+        xs, ys = values, values[::-1].copy()
+        expected = CSV_HEADER + "\n" + profile_csv_rows(xs, ys)
+        assert _written_csv(xs, ys, tmp_path) == expected.encode("ascii")
+
+    @pytest.mark.parametrize("n", [1, 2, 16, 255, 1023, 1024, 1025, 2049])
+    def test_sizes_around_the_chunk(self, n, tmp_path):
+        xs = np.linspace(-0.15, 0.15, n)
+        ys = np.random.default_rng(n).integers(0, 2 ** 64, n, dtype=np.uint64).view(np.float64)
         expected = CSV_HEADER + "\n" + profile_csv_rows(xs, ys)
         assert _written_csv(xs, ys, tmp_path) == expected.encode("ascii")
 
@@ -257,14 +263,12 @@ class TestNumpySvgFormatter:
         assert f'points="{expected}"/>' in ds.profile_svg(_plot(positions, density))
 
     @pytest.mark.parametrize("positions, density, shown", [
-        ([0.0, 0.5, 0.25, 1.0], [1.0, -1e308, 2.0, 1.0], "inf"),
         ([0.0, -5.0, 3.0, -0.10714285714285716, -90 / 840, 1.0], [1.0, 2.0, 0.5, 1.0, 0.0, 0.0],
          "-4110.00,50.00 2610.00,410.00 -0.00,290.00 0.00,530.00"),
-    ], ids=["inf-coordinate", "non-monotonic-positions"])
+    ], ids=["non-monotonic-positions"])
     def test_edge_plots(self, positions, density, shown):
-        with np.errstate(over="ignore"):                 # -1e308 / 2 * 480 overflows
-            expected = svg_points(np.array(positions), np.array(density))
-            svg = ds.profile_svg(_plot(positions, density))
+        expected = svg_points(np.array(positions), np.array(density))
+        svg = ds.profile_svg(_plot(positions, density))
         assert shown in expected and f'points="{expected}"/>' in svg
 
     def test_allocation_per_point(self, profile_64000):
@@ -328,7 +332,13 @@ class TestSvg:
         (np.linspace(-1, 1, 4), [1.0, np.nan, 2.0, 1.0], r"density\[1\] = nan is not finite"),
         (np.linspace(-1, 1, 4), [1.0, 2.0, np.inf, 1.0], r"density\[2\] = inf is not finite"),
         (np.linspace(-1, 1, 4), [1.0, -np.inf, np.nan, 1.0], r"density\[1\] = -inf"),
-    ], ids=["one-point", "equal-ends", "empty", "density-short", "nan", "inf", "minus-inf"])
+        ([0.0, np.nan, 1.0], [1.0, 1.0, 1.0], r"point 1 at \(nan, 1.0\) has no finite"),
+        ([0.0, np.inf, 1.0], [1.0, 1.0, 1.0], r"point 1 at \(inf, 1.0\) has no finite"),
+        ([0.0, 1.0, np.inf], [1.0, 1.0, 1.0], r"point 2 at \(inf, 1.0\) has no finite"),
+        ([0.0, 0.5, 0.25, 1.0], [1.0, -1e308, 2.0, 1.0], r"point 1 at \(0.5, -1e\+308\)"),
+        ([0.0, 1e308, 1e-300], [1.0, 1.0, 1.0], r"point 1 at \(1e\+308, 1.0\)"),
+    ], ids=["one-point", "equal-ends", "empty", "density-short", "nan", "inf", "minus-inf",
+            "nan-position", "inf-position", "inf-last-position", "inf-coordinate", "x-overflow"])
     def test_unplottable_profile_rejected(self, positions, density, cause):
         profile = ds.IntensityProfile(positions=np.array(positions), density=np.array(density),
                                       behavior=QubitBehavior.NONE,
