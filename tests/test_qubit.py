@@ -49,6 +49,35 @@ class TestTransitionMask:
         table = ds.TransitionMask(behavior, n).composite_table().reshape(2, n, 2, n)
         np.testing.assert_array_equal(table.sum(axis=(0, 2)), np.ones((n, n)))
 
+    def test_reference_examples(self):
+        # columns are (e', i') with e'=1 first; rows (e, i) with e=1 first
+        n = 4
+        none = ds.build_mask(QubitBehavior.NONE, n).composite_table()
+        assert none[:n, :n].all()                       # (i', e'=1) -> e=1 for every i'
+        remembers = ds.build_mask(QubitBehavior.REMEMBERS, n).composite_table()
+        assert remembers[n:, n].all()                   # (i'=1, e'=2) -> e=2
+        assert not remembers[n:, 2 * n - 1].any()       # (i'=n, e'=2) -> e=2
+        forgets = ds.build_mask(QubitBehavior.FORGETS, n).composite_table()
+        assert not forgets[n:, n].any()                 # (i'=1, e'=2) -> e=2
+
+    @pytest.mark.parametrize("behavior", list(QubitBehavior))
+    def test_exactly_two_of_eight_combos(self, behavior):
+        n = 2
+        table = ds.build_mask(behavior, n).composite_table()
+        combos = {(half, e_prime, e)
+                  for half, i_prime in (("lower", 1), ("upper", 2))
+                  for e_prime in (1, 2) for e in (1, 2)
+                  if table[(e - 1) * n, (e_prime - 1) * n + i_prime - 1]}
+        assert len(combos) == 2
+        assert combos == ALLOWED_COMBOS[behavior]
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 5, -2])
+    def test_n_not_even_at_least_two_rejected(self, n):
+        with pytest.raises(ValueError, match="n must be an even integer >= 2"):
+            ds.TransitionMask(QubitBehavior.NONE, n)
+        with pytest.raises(ValueError, match="n must be an even integer >= 2"):
+            screen_state_weights(QubitBehavior.NONE, n)
+
     def test_total_allowed_cells(self):
         # one (e', e) combination per (i, i') pair regardless of behavior
         for behavior in QubitBehavior:
@@ -67,6 +96,18 @@ class TestTransitionMask:
 
 
 class TestInterferencePossible:
+    @pytest.mark.parametrize("n", [2, 4, 20])
+    def test_expected_flags(self, n):
+        # read off the mask: does one screen state collect cells of both slits?
+        def both_slits_meet(behavior):
+            table = ds.build_mask(behavior, n).composite_table().reshape(2, n, 2, n)
+            reach = table[:, 0].any(axis=1)             # (e, i'): cell i' reaches state e
+            return bool((reach[:, :n // 2].any(axis=1) & reach[:, n // 2:].any(axis=1)).any())
+
+        assert both_slits_meet(QubitBehavior.NONE)
+        assert both_slits_meet(QubitBehavior.FORGETS)
+        assert not both_slits_meet(QubitBehavior.REMEMBERS)
+
     def test_both_slits_meet_in_one_screen_state(self):
         # interference needs one screen qubit state that collects amplitude from both slits
         meet = {b: ds.screen_state(b, "lower") == ds.screen_state(b, "upper")
@@ -98,6 +139,14 @@ class TestScreenStateWeights:
         assert w.shape == (10, 2)
         np.testing.assert_array_equal(w.sum(axis=1), np.ones(10))
         assert set(np.unique(w)) <= {0.0, 1.0}
+
+    @pytest.mark.parametrize("behavior", list(QubitBehavior))
+    def test_matches_composite_table(self, behavior):
+        # the weights propagation routes by reach the states the mask's table allows
+        n = 6
+        table = ds.build_mask(behavior, n).composite_table().reshape(2, n, 2, n)
+        reach = table[:, 0].any(axis=1).T                # (i', e), over any e'
+        np.testing.assert_array_equal(screen_state_weights(behavior, n), reach.astype(float))
 
     def test_none_and_forgets_identical(self):
         # the kernel ignores e', so identical weights force identical fields
