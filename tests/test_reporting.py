@@ -145,6 +145,31 @@ def _ties():
     return np.concatenate((values, -values))
 
 
+def _significant(value) -> int:
+    """The number of significant digits "%.17g" writes for ``value``, or 0 where its 18th
+    digit is a 5 (a decimal tie, or near one)."""
+    if ("%.17e" % value).partition("e")[0].endswith("5"):
+        return 0
+    return len(("%.16e" % value).partition("e")[0].replace(".", "").rstrip("0"))
+
+
+def _layouts():
+    """For nd = 1..17 significant digits and a leading digit at 10**k, for each k of fixed
+    notation and one beyond either end and for 2- and 3-digit exponents: the first
+    m * 10**(k - nd + 1) that "%.17g" writes with nd digits, m counting up from the first
+    nd digits of 12345678912345678 (most such decimals are no float64 and take 17 digits).
+    Both signs."""
+    values = []
+    for nd in range(1, 18):
+        start = int("12345678912345678"[:nd])
+        for k in [*range(-6, 19), -99, 99, -100, 100, -150, 150]:
+            candidates = (float(f"{m}e{k - nd + 1}") for m in range(start, 10 ** nd) if m % 10)
+            values.append(next((v for v in candidates if _significant(v) == nd),
+                               float(f"{start}e{k - nd + 1}")))
+    values = np.array(values)
+    return np.concatenate((values, -values))
+
+
 def _specials():
     info = np.finfo(np.float64)
     return np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, info.tiny,
@@ -156,8 +181,8 @@ class TestNumpyCsvFormatter:
 
     @pytest.mark.parametrize("values", [
         np.random.default_rng(2025).integers(0, 2 ** 64, 2 ** 17, dtype=np.uint64).view(np.float64),
-        _decades(), _rounding_up(), _ties(), _specials(),
-    ], ids=["random-bits", "decades", "rounding-up", "ties", "specials"])
+        _decades(), _rounding_up(), _ties(), _specials(), _layouts(),
+    ], ids=["random-bits", "decades", "rounding-up", "ties", "specials", "layouts"])
     def test_matches_percent_g(self, values, tmp_path):
         xs, ys = values, values[::-1].copy()
         expected = CSV_HEADER + "\n" + profile_csv_rows(xs, ys)
