@@ -13,11 +13,12 @@ import numpy as np
 import doubleslit as ds
 
 SIZES = (250, 500, 1000, 2000)
+NONE = ds.QubitBehavior.NONE
 
 profiles = {}
 for n in SIZES:
     config = ds.ExperimentConfig(n_positions=n)
-    profiles[n] = ds.simulate(config, ds.QubitBehavior.NONE)
+    profiles[n] = ds.simulate_all(config, behaviors=(NONE,))[NONE]
     print(f"N = {n:5d}: in-range probability = {ds.total_probability(profiles[n]):.6f}")
 
 reference_x = profiles[SIZES[0]].positions

@@ -10,11 +10,13 @@ The corrected mode (the default) restores the symmetric geometry.
 
 import doubleslit as ds
 
+NONE = ds.QubitBehavior.NONE
+
 for mode in ds.GeometryMode:
     config = ds.ExperimentConfig(geometry_mode=mode)
     derived = ds.derive(config)
     grids = ds.build_grids(config, derived)
-    profile = ds.simulate(config, ds.QubitBehavior.NONE)
+    profile = ds.simulate_all(config, behaviors=(NONE,))[NONE]
 
     preds = ds.analytic_predictions(config)
     peaks = ds.find_peaks(profile)

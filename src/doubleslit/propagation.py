@@ -42,7 +42,6 @@ __all__ = [
     "IntensityProfile",
     "accumulate",
     "intensity",
-    "simulate",
     "simulate_all",
 ]
 
@@ -220,11 +219,6 @@ def intensity(field: AmplitudeField) -> IntensityProfile:
         raise SimulationError("negative probability density")
     return IntensityProfile(positions=field.positions, density=density,
                             behavior=field.behavior, config=field.config)
-
-
-def simulate(config: ExperimentConfig, behavior: QubitBehavior) -> IntensityProfile:
-    """Full pipeline for one behavior: derive -> build_grids -> accumulate -> intensity."""
-    return simulate_all(config, behaviors=(behavior,))[behavior]
 
 
 def simulate_all(config: ExperimentConfig, *,

@@ -63,37 +63,18 @@ def write_profile_csv(profile: IntensityProfile, path) -> None:
 _SPLIT = 134217729.0                    # 2**27 + 1: splits a float64 into two 26-bit halves
 _K_MIN, _K_MAX = -282, 282             # the k tabled: [1e-280, 1e280]'s and log10's misses
 _FAST_MIN, _FAST_MAX = 1e-280, 1e280
-# Each value gets a 48-byte template row that holds every byte any of its layouts
-# writes, in the order written:  "-0.000", then D's 17 digits each followed by ".",
-# then "e", the exponent's sign and three digits, and the row's terminator.  A layout
-# is the mask of the bytes it keeps.
-_MINUS, _PREFIX, _DIGIT, _E, _END, _TEMPLATE = 0, 1, 6, 40, 45, 48
-_LAYOUT_EXPONENTS = [*range(-4, 17), 17, 100]   # fixed notation, 2- and 3-digit exponents
-_NEGATIVE = len(_LAYOUT_EXPONENTS) * 17        # the layouts (+, k, nd), then (-, k, nd),
-_LITERAL = 2 * _NEGATIVE                        # then the literals
+# Each value gets a 48-byte template row that holds every byte "%.17g" may write for it,
+# in the order written: its sign (NUL or "-"), "0.000", D's 17 digits each followed by
+# ".", its exponent ("e-05" or "e+100", NUL-padded; all NUL in fixed notation) and the
+# row's terminator.  A keep row masks the row to the bytes written; NULs are then dropped.
+_DIGIT, _E, _END, _TEMPLATE = 6, 40, 45, 48
+_FALLBACK = 21 * 17                     # the keep row that keeps every byte
 
 
 def _split(a):
     c = _SPLIT * a
     hi = c - (c - a)
     return hi, a - hi
-
-
-def _layout(negative: bool, k: int, nd: int) -> list[int]:
-    """The template bytes "%.17g" keeps for a sign, exponent k and nd significant digits."""
-    cols = [_MINUS] if negative else []
-    fixed = -4 <= k <= 16
-    if fixed and k < 0:                                 # "0.", -k-1 zeros, the digits
-        digits = [_DIGIT + 2 * i for i in range(nd)]
-        return cols + list(range(_PREFIX, _PREFIX + 1 - k)) + digits + [_END]
-    point = k if fixed else 0                           # the digit the point follows
-    digits = [_DIGIT + 2 * i for i in range(max(nd, point + 1))]
-    cols += digits[:point + 1]
-    if len(digits) > point + 1:
-        cols += [digits[point] + 1] + digits[point + 1:]
-    if not fixed:
-        cols += [_E, _E + 1] + ([_E + 2] if abs(k) >= 100 else []) + [_E + 3, _E + 4]
-    return cols + [_END]
 
 
 @functools.cache
@@ -112,24 +93,26 @@ def _csv_tables():
     dotted = np.empty((100, 100, 2), np.uint32)        # "0.0.0.0." .. "9.9.9.9."
     dotted[:, :, 0] = two[:, None]
     dotted[:, :, 1] = two
-    lead = np.frombuffer(b"".join(b"-0.000%d." % i for i in range(10)), np.uint64)
-    exponent = np.frombuffer(b"".join(b"e%+04d\0\0\0" % k for k in range(_K_MIN, _K_MAX + 1)),
-                             np.uint64)                 # "e-282" .. "e+282"
-    # One layout per (sign, exponent, nd), then one per fallback string of 1..24 bytes,
-    # which is written over the start of its template row; k_rows[k - _K_MIN] is the
-    # row of (+, k, nd = 1).
-    layouts = [_layout(negative, k, nd) for negative in (False, True)
-               for k in _LAYOUT_EXPONENTS for nd in range(1, 18)]
-    layouts += [[*range(n), _END] for n in range(1, 25)]
-    masks = bytearray(len(layouts) * _TEMPLATE)
-    for row, cols in enumerate(layouts):
-        for col in cols:
-            masks[row * _TEMPLATE + col] = 1
-    masks = np.frombuffer(masks, bool).reshape(-1, _TEMPLATE)
-    laid_out_as = [k if -4 <= k <= 16 else 17 if abs(k) < 100 else 100
-                   for k in range(_K_MIN, _K_MAX + 1)]
-    k_rows = 17 * np.array([_LAYOUT_EXPONENTS.index(k) for k in laid_out_as])
-    tables = powers, lead, dotted.view(np.uint64).ravel(), exponent, masks, k_rows
+    lead = np.frombuffer(b"".join(b"%s0.000%d." % (sign, i)
+                                  for sign in (b"\0", b"-") for i in range(10)), np.uint64)
+    fixed, ks = range(-4, 17), range(_K_MIN, _K_MAX + 1)  # fixed notation's k, all k
+    exponent = np.frombuffer(b"".join((b"" if k in fixed else b"e%+03d" % k).ljust(8, b"\0")
+                                      for k in ks), np.uint64)
+    # keep[(point + 4) * 17 + nd - 1] keeps the bytes written for nd significant digits
+    # placed by `point`, which is k in fixed notation and 0 otherwise; the last row keeps
+    # every byte, for the rows "%.17g" writes over their zeroed template.
+    point = np.array(fixed)[:, None, None]
+    nd = np.arange(1, 18)[:, None]
+    col = np.arange(_TEMPLATE)
+    i, after = np.divmod(col - _DIGIT, 2)               # D's digit i, or the byte after it
+    digits = (col >= _DIGIT) & (col < _E)
+    keep = ((col == 0) | (col >= _E)                    # sign, exponent, terminator
+            | ((point < 0) & (col <= 1 - point))        # "0." and -k-1 zeros
+            | digits & (after == 0) & (i < np.maximum(nd, point + 1))   # to the point
+            | digits & (after == 1) & (i == point) & (nd > point + 1))  # point, digits after
+    keep = np.vstack((keep.reshape(_FALLBACK, _TEMPLATE), np.ones(_TEMPLATE, bool)))
+    k_rows = np.array([17 * ((k if k in fixed else 0) + 4) + 16 for k in ks])  # nd = 17
+    tables = powers, lead, dotted.view(np.uint64).ravel(), exponent, keep, k_rows
     for table in tables:                                # shared by every call
         table.flags.writeable = False
     return tables
@@ -170,26 +153,27 @@ def _digits(v, powers):
 
 def _csv_rows(xs, ys) -> bytes:
     """The CSV rows of ``xs`` and ``ys``, byte for byte as "%.17g,%.17g\\n" writes them."""
-    powers, lead, dotted, exponent, masks, k_rows = _csv_tables()
+    powers, lead, dotted, exponent, keep, k_rows = _csv_tables()
     v = np.column_stack((xs, ys)).ravel()
     d, k, exact = _digits(v, powers)
     words = np.empty((v.size, _TEMPLATE // 8), np.uint64)
     for col in range(4, 0, -1):                         # D's four-digit groups, last first
         d, group = np.divmod(d, 10_000)
         words[:, col] = dotted.take(group)
-    words[:, 0] = lead.take(d)
+    words[:, 0] = lead.take(d + 10 * (v < 0))
     words[:, 5] = exponent.take(k - _K_MIN)
     rows = words.view(np.uint8)
+    nonzero = rows[:, _DIGIT + 32:_DIGIT - 1:-2] != ord("0")   # D's digits, last first
+    kept = k_rows.take(k - _K_MIN) - np.argmax(nonzero, axis=1)
+    fallback = np.flatnonzero(exact)
+    for i in fallback:
+        text = ("%.17g" % v[i]).encode("ascii")
+        rows[i] = 0
+        rows[i, :len(text)] = np.frombuffer(text, np.uint8)
+    kept[fallback] = _FALLBACK
     rows[0::2, _END] = ord(",")
     rows[1::2, _END] = ord("\n")
-    nonzero = rows[:, _DIGIT + 32:_DIGIT - 1:-2] != ord("0")   # D's digits, last first
-    nd = 17 - np.argmax(nonzero, axis=1)
-    layout = k_rows.take(k - _K_MIN) + (v < 0) * _NEGATIVE + nd - 1
-    for i in np.flatnonzero(exact):
-        text = ("%.17g" % v[i]).encode("ascii")
-        rows[i, :len(text)] = np.frombuffer(text, np.uint8)
-        layout[i] = _LITERAL + len(text) - 1
-    rows *= masks.take(layout, axis=0)                 # NUL out the bytes not written
+    rows *= keep.take(kept, axis=0)                     # NUL out the bytes not written
     return rows.tobytes().translate(None, b"\0")
 
 

@@ -170,8 +170,9 @@ def test_c06_behavior_equivalence(profiles_2000):
             p_forgets = profiles_2000[QubitBehavior.FORGETS]
         else:
             cfg = ds.ExperimentConfig(n_positions=n)
-            p_none = ds.simulate(cfg, QubitBehavior.NONE)
-            p_forgets = ds.simulate(cfg, QubitBehavior.FORGETS)
+            none, forgets = QubitBehavior.NONE, QubitBehavior.FORGETS
+            p_none = ds.simulate_all(cfg, behaviors=(none,))[none]           # two passes
+            p_forgets = ds.simulate_all(cfg, behaviors=(forgets,))[forgets]
         ok = ok and p_none.density.tobytes() == p_forgets.density.tobytes()
     assert criterion(6, "intensity(none) == intensity(forgets) bitwise at N in {16,250,2000}", ok)
 
@@ -251,7 +252,8 @@ def test_c10_mirror_symmetry(profiles_2000):
 
 def test_c11_paper_literal_geometry(paper_config):
     cfg = ds.ExperimentConfig(geometry_mode=ds.GeometryMode.PAPER_LITERAL)
-    profile = ds.simulate(cfg, QubitBehavior.NONE)
+    none = QubitBehavior.NONE
+    profile = ds.simulate_all(cfg, behaviors=(none,))[none]
     preds = ds.analytic_predictions(cfg)
     peaks = ds.find_peaks(profile)
     spacing = ds.fringe_spacing(peaks, preds.first_minimum)

@@ -68,3 +68,35 @@ def test_bench_imports_exist():
     missing = [f"{file}: from {module} import {name}" for file, module, name in imports
                if not hasattr(importlib.import_module(module), name)]
     assert not missing
+
+
+SRC = Path(ds.__file__).resolve().parent
+
+
+def _dead_names(tree: ast.Module) -> list[str]:
+    """The module-level private names a module never reads, and the names it imports that
+    it neither reads nor lists in ``__all__``."""
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    exported, defined, imported = set(), [], []
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) != "__future__":
+                imported += [(alias.asname or alias.name).split(".")[0] for alias in node.names
+                             if alias.name != "*"]
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            if names == ["__all__"] and isinstance(node.value, ast.List):
+                exported = set(ast.literal_eval(node.value))
+            defined += names
+    private = [name for name in defined if name.startswith("_") and not name.startswith("__")]
+    return ([name for name in private if name not in read]
+            + [name for name in imported if name not in read and name not in exported])
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_dead_names(path):
+    assert _dead_names(ast.parse(path.read_text(encoding="utf-8"))) == []

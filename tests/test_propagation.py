@@ -529,8 +529,9 @@ class TestProfileProperties:
     def test_convergence_under_refinement(self):
         # sup-norm distance between successive refinements, sampled on the
         # coarsest grid, must shrink as N doubles
+        none = QubitBehavior.NONE
         profiles = {
-            n: ds.simulate(ds.ExperimentConfig(n_positions=n), QubitBehavior.NONE)
+            n: ds.simulate_all(ds.ExperimentConfig(n_positions=n), behaviors=(none,))[none]
             for n in (250, 500, 1000, 2000)
         }
         ref_x = profiles[250].positions
@@ -541,10 +542,10 @@ class TestProfileProperties:
             diffs.append(np.max(np.abs(coarse - fine)))
         assert diffs[0] > diffs[1] > diffs[2]
 
-    def test_simulate_matches_pipeline(self, config_250, profiles_250):
-        profile = ds.simulate(config_250, QubitBehavior.REMEMBERS)
-        assert profile.density.tobytes() == \
-            profiles_250[QubitBehavior.REMEMBERS].density.tobytes()
+    def test_one_behavior_matches_all(self, config_250, profiles_250):
+        remembers = QubitBehavior.REMEMBERS
+        profile = ds.simulate_all(config_250, behaviors=(remembers,))[remembers]
+        assert profile.density.tobytes() == profiles_250[remembers].density.tobytes()
 
 
 def continuum_densities(config, positions):
