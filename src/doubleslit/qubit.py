@@ -119,14 +119,16 @@ def build_mask(behavior: QubitBehavior, n: int) -> TransitionMask:
     return TransitionMask(behavior=behavior, n=n)
 
 
+_CELL_CHARS = bytes.maketrans(b"\0\1", b".#")     # a bool cell's byte -> its character
+
+
 def render_mask(mask: TransitionMask) -> str:
     """Plain-text export of the composite table: '#' allowed, '.' disallowed.
 
     First line is ``behavior=<name> n=<n>``; the 2n following lines are the
     rows of :meth:`TransitionMask.composite_table` in order.
     """
-    table = mask.composite_table()
-    lines = [f"behavior={mask.behavior.value} n={mask.n}"]
-    for row in table:
-        lines.append("".join("#" if cell else "." for cell in row))
-    return "\n".join(lines) + "\n"
+    cells = mask.composite_table().tobytes().translate(_CELL_CHARS).decode("ascii")
+    width = 2 * mask.n
+    rows = [cells[i:i + width] for i in range(0, len(cells), width)]
+    return "\n".join([f"behavior={mask.behavior.value} n={mask.n}", *rows]) + "\n"

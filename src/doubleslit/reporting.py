@@ -34,10 +34,11 @@ CSV_HEADER = "x_m,probability_density"
 _CHUNK_ROWS = 1024
 
 
-def write_profile_csv(profile: IntensityProfile, path) -> None:
+def write_profile_csv(profile: IntensityProfile, path, *more_paths) -> None:
     """One row per screen position, ascending x, 17 significant digits, LF endings.
 
-    Each number is written as ``"%.17g"`` writes its float64 value.  Raises
+    Each number is written as ``"%.17g"`` writes its float64 value; the text is
+    formatted once and written to ``path`` and to each of ``more_paths``.  Raises
     ``ValueError`` unless positions and density are 1-D of one size.
     """
     xs = np.asarray(profile.positions, dtype=np.float64)
@@ -47,9 +48,10 @@ def write_profile_csv(profile: IntensityProfile, path) -> None:
                          f"got shapes {xs.shape} and {ys.shape}")
     parts = [_csv_rows(xs[i:i + _CHUNK_ROWS], ys[i:i + _CHUNK_ROWS])
              for i in range(0, xs.size, _CHUNK_ROWS)]
-    with open(path, "wb") as fh:
-        fh.write(CSV_HEADER.encode("ascii") + b"\n")
-        fh.writelines(parts)
+    for target in (path, *more_paths):
+        with open(target, "wb") as fh:
+            fh.write(CSV_HEADER.encode("ascii") + b"\n")
+            fh.writelines(parts)    # the chunks as they are: one joined text slowed large-none
 
 
 # The numpy formatter.  A value v with |v| in [1e-280, 1e280] is written from its 17

@@ -25,6 +25,15 @@ def is_allowed(behavior, n, i_prime, e_prime, e) -> bool:
     return (half, e_prime, e) in ALLOWED_COMBOS[behavior]
 
 
+def mask_text(behavior, n) -> str:
+    """The mask export one cell at a time from ``is_allowed``: a header line, then rows
+    (e, i) with e=1 first and columns (e', i') with e'=1 first, '#' allowed, '.' not."""
+    rows = ["".join("#" if is_allowed(behavior, n, i_prime, e_prime, e) else "."
+                    for e_prime in (1, 2) for i_prime in range(1, n + 1))
+            for e in (1, 2) for _ in range(n)]
+    return "\n".join([f"behavior={behavior.value} n={n}", *rows]) + "\n"
+
+
 def kernel(x, x_prime, config: ExperimentConfig, derived: DerivedQuantities):
     """Free-particle propagator K(x, x') = A * exp(i*m*(x-x')^2 / (2*hbar*L/v)).
 

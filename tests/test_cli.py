@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import doubleslit as ds
+from doubleslit import reporting
 from doubleslit.cli import _build_parser, main, parse_args
 from doubleslit.qubit import QubitBehavior
 from doubleslit.reporting import CONFIG_FILE_KEYS, read_config_file
@@ -147,6 +148,26 @@ class TestRun:
         assert main(["--qubit", "none", "--n", "250", "--csv", str(a)]) == 0
         assert main(["--qubit", "forgets", "--n", "250", "--csv", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_none_and_forgets_csv_formatted_once(self, tmp_path, monkeypatch):
+        chunks = []
+        csv_rows = reporting._csv_rows
+
+        def counted(xs, ys):
+            chunks.append(xs.size)
+            return csv_rows(xs, ys)
+
+        monkeypatch.setattr(reporting, "_csv_rows", counted)
+        assert main(["--qubit", "all", "--n", "2000", "--csv", str(tmp_path / "p.csv")]) == 0
+        none, remembers, forgets = (
+            (tmp_path / f"p_{b.value}.csv").read_bytes() for b in QubitBehavior)
+        assert none == forgets != remembers
+        assert chunks == [1024, 976] * 2        # 2 distinct densities x 2 chunks, not 3 x 2
+
+    def test_unwritable_shared_csv_is_a_runtime_error(self, tmp_path, capsys):
+        (tmp_path / "p_forgets.csv").mkdir()
+        assert main(["--n", "250", "--csv", str(tmp_path / "p.csv")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_repeat_runs_are_byte_identical(self, tmp_path):
         first = (tmp_path / "a.json", tmp_path / "a.csv")

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 import doubleslit as ds
 from doubleslit.qubit import QubitBehavior, screen_state_weights
-from reference import ALLOWED_COMBOS, is_allowed
+from reference import ALLOWED_COMBOS, is_allowed, mask_text
 
 
 class TestTransitionMask:
@@ -158,6 +158,11 @@ class TestRenderMask:
     def test_exact_small_rendering(self):
         text = ds.render_mask(ds.build_mask(QubitBehavior.NONE, 2))
         assert text == "behavior=none n=2\n##..\n##..\n....\n....\n"
+
+    @pytest.mark.parametrize("behavior", list(QubitBehavior))
+    @pytest.mark.parametrize("n", [2, 4, 8, 20])
+    def test_matches_per_cell_reference(self, behavior, n):
+        assert ds.render_mask(ds.TransitionMask(behavior, n)) == mask_text(behavior, n)
 
     @pytest.mark.parametrize("behavior", list(QubitBehavior))
     def test_shape_and_charset(self, behavior):

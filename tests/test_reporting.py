@@ -62,6 +62,17 @@ class TestCsv:
         first_x = float(lines[1].split(",")[0])
         assert first_x == profile.positions[0]
 
+    def test_same_bytes_to_every_path(self, profiles_250, tmp_path):
+        profile = profiles_250[QubitBehavior.REMEMBERS]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        ds.write_profile_csv(profile, a, b)
+        expected = CSV_HEADER + "\n" + profile_csv_rows(profile.positions, profile.density)
+        assert a.read_bytes() == b.read_bytes() == expected.encode("ascii")
+
+    def test_needs_a_path(self, profiles_250):
+        with pytest.raises(TypeError):
+            ds.write_profile_csv(profiles_250[QubitBehavior.NONE])
+
     def test_header_checked_on_read(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x,y\n0,0\n")
