@@ -127,16 +127,11 @@ def run(request: RunRequest) -> int:
         profiles = simulate_all(request.config, behaviors=request.behaviors)
         multiple = len(request.behaviors) > 1
 
-        if request.csv_path is not None:
-            # none and forgets share one density: format each distinct density once
-            groups = {}
-            for behavior, profile in profiles.items():
-                groups.setdefault(profile.density.tobytes(), [profile]).append(
-                    _per_behavior_path(request.csv_path, behavior, multiple))
-            for profile, *paths in groups.values():
-                write_profile_csv(profile, *paths)
-        if request.svg_path is not None:
-            for behavior, profile in profiles.items():
+        for behavior, profile in profiles.items():
+            if request.csv_path is not None:
+                write_profile_csv(profile, _per_behavior_path(request.csv_path,
+                                                              behavior, multiple))
+            if request.svg_path is not None:
                 write_profile_svg(profile, _per_behavior_path(request.svg_path,
                                                               behavior, multiple))
 

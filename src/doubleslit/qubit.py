@@ -119,16 +119,14 @@ def build_mask(behavior: QubitBehavior, n: int) -> TransitionMask:
     return TransitionMask(behavior=behavior, n=n)
 
 
-_CELL_CHARS = bytes.maketrans(b"\0\1", b".#")     # a bool cell's byte -> its character
-
-
 def render_mask(mask: TransitionMask) -> str:
     """Plain-text export of the composite table: '#' allowed, '.' disallowed.
 
     First line is ``behavior=<name> n=<n>``; the 2n following lines are the
     rows of :meth:`TransitionMask.composite_table` in order.
     """
-    cells = mask.composite_table().tobytes().translate(_CELL_CHARS).decode("ascii")
+    table = mask.composite_table().tobytes()        # one byte, 0 or 1, per bool cell
+    cells = table.translate(bytes.maketrans(b"\0\1", b".#")).decode("ascii")
     width = 2 * mask.n
     rows = [cells[i:i + width] for i in range(0, len(cells), width)]
     return "\n".join([f"behavior={mask.behavior.value} n={mask.n}", *rows]) + "\n"

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import functools
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
 
 from .analysis import ValidationReport
 from .propagation import IntensityProfile
-from .qubit import TransitionMask, render_mask
+from .qubit import QubitBehavior, TransitionMask, render_mask
 
 __all__ = [
     "write_profile_csv",
@@ -33,25 +34,37 @@ CSV_HEADER = "x_m,probability_density"
 # Both writers format with numpy (below), a chunk of rows at a time.
 _CHUNK_ROWS = 1024
 
+# Chunk lists with the (positions, density) bytes they were formatted from, for the one
+# positions array _memo_for refers to; freeing that array empties the memo.  A run's
+# profiles share it, and none and forgets one density, so --qubit all formats two texts.
+# Looked up by ==, not by hash: hashing the bytes cost a one-behavior N=8000 run 0.1 ms.
+_memo: list[tuple[bytes, bytes, list[bytes]]] = []
+_memo_for = lambda: None        # weakref.ref of the memo's positions array; none yet
 
-def write_profile_csv(profile: IntensityProfile, path, *more_paths) -> None:
+
+def write_profile_csv(profile: IntensityProfile, path) -> None:
     """One row per screen position, ascending x, 17 significant digits, LF endings.
 
-    Each number is written as ``"%.17g"`` writes its float64 value; the text is
-    formatted once and written to ``path`` and to each of ``more_paths``.  Raises
+    Each number is written as ``"%.17g"`` writes its float64 value.  Raises
     ``ValueError`` unless positions and density are 1-D of one size.
     """
+    global _memo_for
     xs = np.asarray(profile.positions, dtype=np.float64)
     ys = np.asarray(profile.density, dtype=np.float64)
     if xs.ndim != 1 or ys.shape != xs.shape:
         raise ValueError(f"a CSV needs 1-D positions and density of one size, "
                          f"got shapes {xs.shape} and {ys.shape}")
-    parts = [_csv_rows(xs[i:i + _CHUNK_ROWS], ys[i:i + _CHUNK_ROWS])
-             for i in range(0, xs.size, _CHUNK_ROWS)]
-    for target in (path, *more_paths):
-        with open(target, "wb") as fh:
-            fh.write(CSV_HEADER.encode("ascii") + b"\n")
-            fh.writelines(parts)    # the chunks as they are: one joined text slowed large-none
+    if _memo_for() is not xs or len(_memo) == len(QubitBehavior):   # a new run, or a full memo
+        _memo.clear()
+        _memo_for = weakref.ref(xs, lambda _: _memo.clear())
+    parts = next((p for x, y, p in _memo if x == xs.tobytes() and y == ys.tobytes()), None)
+    if parts is None:
+        parts = [_csv_rows(xs[i:i + _CHUNK_ROWS], ys[i:i + _CHUNK_ROWS])
+                 for i in range(0, xs.size, _CHUNK_ROWS)]
+        _memo.append((xs.tobytes(), ys.tobytes(), parts))
+    with open(path, "wb") as fh:
+        fh.write(CSV_HEADER.encode("ascii") + b"\n")
+        fh.writelines(parts)    # the chunks as they are: one joined text slowed large-none
 
 
 # The numpy formatter.  A value v with |v| in [1e-280, 1e280] is written from its 17

@@ -158,11 +158,13 @@ class TestRun:
             return csv_rows(xs, ys)
 
         monkeypatch.setattr(reporting, "_csv_rows", counted)
-        assert main(["--qubit", "all", "--n", "2000", "--csv", str(tmp_path / "p.csv")]) == 0
-        none, remembers, forgets = (
-            (tmp_path / f"p_{b.value}.csv").read_bytes() for b in QubitBehavior)
-        assert none == forgets != remembers
-        assert chunks == [1024, 976] * 2        # 2 distinct densities x 2 chunks, not 3 x 2
+        for run in (1, 2):
+            assert main(["--qubit", "all", "--n", "2000", "--csv", str(tmp_path / "p.csv")]) == 0
+            none, remembers, forgets = (
+                (tmp_path / f"p_{b.value}.csv").read_bytes() for b in QubitBehavior)
+            assert none == forgets != remembers
+            # 2 distinct densities x 2 chunks per run, not 3 x 2, and nothing kept between runs
+            assert chunks == [1024, 976] * 2 * run
 
     def test_unwritable_shared_csv_is_a_runtime_error(self, tmp_path, capsys):
         (tmp_path / "p_forgets.csv").mkdir()

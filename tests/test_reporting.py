@@ -3,6 +3,7 @@ import re
 import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -62,16 +63,21 @@ class TestCsv:
         first_x = float(lines[1].split(",")[0])
         assert first_x == profile.positions[0]
 
-    def test_same_bytes_to_every_path(self, profiles_250, tmp_path):
-        profile = profiles_250[QubitBehavior.REMEMBERS]
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        ds.write_profile_csv(profile, a, b)
-        expected = CSV_HEADER + "\n" + profile_csv_rows(profile.positions, profile.density)
-        assert a.read_bytes() == b.read_bytes() == expected.encode("ascii")
+    def test_text_follows_the_arrays_in_place(self, profiles_250, tmp_path):
+        base = profiles_250[QubitBehavior.REMEMBERS]
+        xs, ys = base.positions.copy(), base.density.copy()
+        profile = replace(base, positions=xs, density=ys)
+        path = tmp_path / "p.csv"
 
-    def test_needs_a_path(self, profiles_250):
-        with pytest.raises(TypeError):
-            ds.write_profile_csv(profiles_250[QubitBehavior.NONE])
+        def written_as_reference():
+            ds.write_profile_csv(profile, path)
+            return path.read_text() == CSV_HEADER + "\n" + profile_csv_rows(xs, ys)
+
+        assert written_as_reference()
+        ys[0] = ys[1]           # the same arrays, edited in place, are formatted anew
+        assert written_as_reference()
+        xs *= 2.0
+        assert written_as_reference()
 
     def test_header_checked_on_read(self, tmp_path):
         path = tmp_path / "bad.csv"
