@@ -57,11 +57,12 @@ def write_profile_csv(profile: IntensityProfile, path) -> None:
     if _memo_for() is not xs or len(_memo) == len(QubitBehavior):   # a new run, or a full memo
         _memo.clear()
         _memo_for = weakref.ref(xs, lambda _: _memo.clear())
-    parts = next((p for x, y, p in _memo if x == xs.tobytes() and y == ys.tobytes()), None)
+    xb, yb = xs.tobytes(), ys.tobytes()
+    parts = next((p for x, y, p in _memo if x == xb and y == yb), None)
     if parts is None:
         parts = [_csv_rows(xs[i:i + _CHUNK_ROWS], ys[i:i + _CHUNK_ROWS])
                  for i in range(0, xs.size, _CHUNK_ROWS)]
-        _memo.append((xs.tobytes(), ys.tobytes(), parts))
+        _memo.append((xb, yb, parts))
     with open(path, "wb") as fh:
         fh.write(CSV_HEADER.encode("ascii") + b"\n")
         fh.writelines(parts)    # the chunks as they are: one joined text slowed large-none
@@ -72,9 +73,10 @@ def write_profile_csv(profile: IntensityProfile, path) -> None:
 # k, so that v is about D * 10**(k - 16).  D = rint(|v| * 10**s) with s = 16 - k, and the
 # product is formed as p + tail: Dekker's exact two-product of |v| with the float64
 # nearest 10**s, plus |v| times that float's remainder, so tail is within about 1e-14
-# of the exact rest.  Zeros, non-finite values, values outside that range and values
-# whose tail lies within 1e-6 of a half (a decimal tie, or too near one to call) are
-# written by "%.17g" itself.
+# of the exact rest.  Zeros, non-finite values, values outside that range, values whose
+# tail lies within 1e-6 of a half (a decimal tie, or too near one to call) and values
+# next to a decade, where p + tail < 10**16 (k one too high) or D >= 10**17, are written
+# by "%.17g" itself: their rows hold a "%.17g" template that one bytes % fills.
 _SPLIT = 134217729.0                    # 2**27 + 1: splits a float64 into two 26-bit halves
 _K_MIN, _K_MAX = -282, 282             # the k tabled: [1e-280, 1e280]'s and log10's misses
 _FAST_MIN, _FAST_MAX = 1e-280, 1e280
@@ -83,7 +85,7 @@ _FAST_MIN, _FAST_MAX = 1e-280, 1e280
 # ".", its exponent ("e-05" or "e+100", NUL-padded; all NUL in fixed notation) and the
 # row's terminator.  A keep row masks the row to the bytes written; NULs are then dropped.
 _DIGIT, _E, _END, _TEMPLATE = 6, 40, 45, 48
-_FALLBACK = 21 * 17                     # the keep row that keeps every byte
+_FALLBACK = 21 * 17                     # the keep row that keeps a "%.17g" template whole
 
 
 def _split(a):
@@ -114,8 +116,8 @@ def _csv_tables():
     exponent = np.frombuffer(b"".join((b"" if k in fixed else b"e%+03d" % k).ljust(8, b"\0")
                                       for k in ks), np.uint64)
     # keep[(point + 4) * 17 + nd - 1] keeps the bytes written for nd significant digits
-    # placed by `point`, which is k in fixed notation and 0 otherwise; the last row keeps
-    # every byte, for the rows "%.17g" writes over their zeroed template.
+    # placed by `point`, which is k in fixed notation and 0 otherwise; the last row,
+    # _FALLBACK, keeps every byte.
     point = np.array(fixed)[:, None, None]
     nd = np.arange(1, 18)[:, None]
     col = np.arange(_TEMPLATE)
@@ -127,19 +129,11 @@ def _csv_tables():
             | digits & (after == 1) & (i == point) & (nd > point + 1))  # point, digits after
     keep = np.vstack((keep.reshape(_FALLBACK, _TEMPLATE), np.ones(_TEMPLATE, bool)))
     k_rows = np.array([17 * ((k if k in fixed else 0) + 4) + 16 for k in ks])  # nd = 17
-    tables = powers, lead, dotted.view(np.uint64).ravel(), exponent, keep, k_rows
+    template = np.frombuffer(b"%.17g".ljust(_TEMPLATE, b"\0"), np.uint64)
+    tables = powers, lead, dotted.view(np.uint64).ravel(), exponent, keep, k_rows, template
     for table in tables:                                # shared by every call
         table.flags.writeable = False
     return tables
-
-
-def _scaled(a, k, powers):
-    """|v| * 10**(16 - k) as p + tail, with p the float64 product and tail the rest."""
-    hi, hi_hi, hi_lo, lo = powers.take(k - _K_MIN, axis=1)
-    p = a * hi
-    a_hi, a_lo = _split(a)
-    err = a_lo * hi_lo - (((p - a_hi * hi_hi) - a_lo * hi_hi) - a_hi * hi_lo)
-    return p, err + a * lo
 
 
 def _digits(v, powers):
@@ -148,27 +142,20 @@ def _digits(v, powers):
     exact = ~((a >= _FAST_MIN) & (a <= _FAST_MAX))     # zeros, inf, nan, far out of range
     a[exact] = 1.0
     k = np.floor(np.log10(a)).astype(np.int64)          # may be one off next to a decade
-    p, tail = _scaled(a, k, powers)
-    # Correct k from the unrounded product, which lies in [1e16, 1e17) for the right k.
-    # Where the product is within rounding of either end, both k give the same digits
-    # once a D that rounds up to 10**17 carries into the exponent.
-    shift = ((p > 1e17) | ((p == 1e17) & (tail >= 0))).astype(np.int64)
-    shift -= (p < 1e16) | ((p == 1e16) & (tail < 0))
-    moved = np.flatnonzero(shift)
-    if moved.size:
-        k[moved] += shift[moved]
-        p[moved], tail[moved] = _scaled(a[moved], k[moved], powers)
-    exact |= np.abs(tail - np.floor(tail) - 0.5) < 1e-6
+    hi, hi_hi, hi_lo, lo = powers.take(k - _K_MIN, axis=1)
+    p = a * hi                                          # |v| * 10**(16 - k) = p + tail
+    a_hi, a_lo = _split(a)
+    tail = a_lo * hi_lo - (((p - a_hi * hi_hi) - a_lo * hi_hi) - a_hi * hi_lo) + a * lo
     d = p.astype(np.int64) + np.rint(tail).astype(np.int64)
-    carry = d // 10 ** 17                               # 1 where D rounded up to 10**17
-    d -= carry * (9 * 10 ** 16)
-    k += carry
+    exact |= np.abs(tail - np.floor(tail) - 0.5) < 1e-6
+    exact |= (p < 1e16) | ((p == 1e16) & (tail < 0)) | (d >= 10 ** 17)   # next to a decade
+    d[exact] = 10 ** 16                                 # any D in range, for the tables
     return d, k, exact
 
 
 def _csv_rows(xs, ys) -> bytes:
     """The CSV rows of ``xs`` and ``ys``, byte for byte as "%.17g,%.17g\\n" writes them."""
-    powers, lead, dotted, exponent, keep, k_rows = _csv_tables()
+    powers, lead, dotted, exponent, keep, k_rows, template = _csv_tables()
     v = np.column_stack((xs, ys)).ravel()
     d, k, exact = _digits(v, powers)
     words = np.empty((v.size, _TEMPLATE // 8), np.uint64)
@@ -181,15 +168,13 @@ def _csv_rows(xs, ys) -> bytes:
     nonzero = rows[:, _DIGIT + 32:_DIGIT - 1:-2] != ord("0")   # D's digits, last first
     kept = k_rows.take(k - _K_MIN) - np.argmax(nonzero, axis=1)
     fallback = np.flatnonzero(exact)
-    for i in fallback:
-        text = ("%.17g" % v[i]).encode("ascii")
-        rows[i] = 0
-        rows[i, :len(text)] = np.frombuffer(text, np.uint8)
+    words[fallback] = template
     kept[fallback] = _FALLBACK
     rows[0::2, _END] = ord(",")
     rows[1::2, _END] = ord("\n")
     rows *= keep.take(kept, axis=0)                     # NUL out the bytes not written
-    return rows.tobytes().translate(None, b"\0")
+    text = rows.tobytes().translate(None, b"\0")
+    return text % tuple(v[fallback].tolist()) if fallback.size else text
 
 
 def read_profile_csv(path) -> tuple[np.ndarray, np.ndarray]:

@@ -11,7 +11,7 @@ import pytest
 import doubleslit as ds
 from doubleslit.physics import GeometryMode
 from doubleslit.qubit import QubitBehavior
-from doubleslit.reporting import CSV_HEADER, _svg_rows
+from doubleslit.reporting import CSV_HEADER, _csv_tables, _digits, _svg_rows
 from reference import points_2f, profile_csv_rows, svg_points
 
 
@@ -193,17 +193,41 @@ def _specials():
                      -info.tiny, info.max, -info.max, 1e-280, 1e280, 0.1, 1 / 3, 1e16, 1e17])
 
 
+def _fallbacks():
+    """2049 rows' worth, three chunks, of values that all take the "%.17g" fallback: the
+    specials and the values next to a decade that the numpy path leaves to it."""
+    values = np.concatenate((_specials(), _decades()))
+    return np.resize(values[_digits(values, _csv_tables()[0])[2]], 2049)
+
+
 class TestNumpyCsvFormatter:
     """Every profile is formatted with numpy, 1024 rows at a time; the bytes stay "%.17g"'s."""
 
     @pytest.mark.parametrize("values", [
         np.random.default_rng(2025).integers(0, 2 ** 64, 2 ** 17, dtype=np.uint64).view(np.float64),
         _decades(), _rounding_up(), _ties(), _specials(), _layouts(),
-    ], ids=["random-bits", "decades", "rounding-up", "ties", "specials", "layouts"])
+        _fallbacks(),
+    ], ids=["random-bits", "decades", "rounding-up", "ties", "specials", "layouts",
+            "fallback-chunks"])
     def test_matches_percent_g(self, values, tmp_path):
         xs, ys = values, values[::-1].copy()
         expected = CSV_HEADER + "\n" + profile_csv_rows(xs, ys)
         assert _written_csv(xs, ys, tmp_path) == expected.encode("ascii")
+
+    @pytest.mark.parametrize("config", [
+        ds.ExperimentConfig(),
+        ds.ExperimentConfig(n_positions=8000),
+        ds.ExperimentConfig(n_positions=250, geometry_mode=GeometryMode.PAPER_LITERAL),
+        ds.ExperimentConfig(n_positions=2050, screen_min=-0.1, screen_max=0.2),
+        ds.ExperimentConfig(n_positions=2000, screen_min=-30, screen_max=30),
+        ds.ExperimentConfig(n_positions=16),
+    ], ids=["reference", "n8000", "paper-250", "window-2050", "30m-2000", "n16"])
+    def test_profiles_take_no_fallback(self, config):
+        # The "%.17g" fallback costs a Python float per value; on these it must stay unused.
+        powers = _csv_tables()[0]
+        for profile in ds.simulate_all(config).values():
+            v = np.concatenate((profile.positions, profile.density))
+            assert not _digits(v, powers)[2].any(), profile.behavior
 
     @pytest.mark.parametrize("n", [1, 2, 16, 255, 1023, 1024, 1025, 2049])
     def test_sizes_around_the_chunk(self, n, tmp_path):
