@@ -274,7 +274,15 @@ def validate(profiles: Mapping[QubitBehavior, IntensityProfile],
     delta_screen = derived.delta_screen
 
     totals = {b.value: total_probability(profiles[b]) for b in QubitBehavior}
-    peaks = {b: find_peaks(profiles[b]) for b in QubitBehavior}
+    # The profiles share the screen positions checked above, so equal densities have
+    # equal peaks: none and forgets, one density by construction, share one search.
+    peaks, by_density = {}, {}      # by_density: a density's (dtype, bytes) -> its peaks
+    for b in QubitBehavior:
+        density = np.asarray(profiles[b].density)
+        key = (density.dtype.str, density.tobytes())
+        if key not in by_density:
+            by_density[key] = find_peaks(profiles[b])
+        peaks[b] = by_density[key]
     in_lobe = {
         b: [x for x, _ in peaks[b] if abs(x) <= preds.first_minimum]
         for b in QubitBehavior

@@ -9,6 +9,7 @@ a validation report.  Exit codes: 0 success, 1 computation or I/O error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,6 +41,7 @@ class RunRequest:
     check: bool = False
 
 
+@functools.cache     # built on a process's first parse, then only read
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="doubleslit",

@@ -37,6 +37,11 @@ __all__ = [
     "kernel_prefactor",
 ]
 
+# tracemalloc peak of simulate_all per screen position (tests/test_propagation.py holds it)
+# and the most a run may ask for; build_grids refuses a larger N before it allocates.
+BYTES_PER_N = 170
+MEMORY_BUDGET = 4 * 2**30
+
 
 class GeometryMode(Enum):
     """Placement rule for the upper slit's coarse-grained positions.
@@ -177,9 +182,14 @@ def build_grids(config: ExperimentConfig, derived: DerivedQuantities) -> Grids:
     CORRECTED, reproducing the published indexing formula verbatim.
     Raises :class:`SimulationError` if either grid has a non-finite position,
     or if the screen positions are not strictly increasing because float64
-    cannot resolve delta_screen at the window's magnitude.
+    cannot resolve delta_screen at the window's magnitude, and :class:`ConfigError`,
+    before it allocates, if ``BYTES_PER_N * N`` exceeds ``MEMORY_BUDGET``.
     """
     n = config.n_positions
+    if BYTES_PER_N * n > MEMORY_BUDGET:
+        raise ConfigError(f"n_positions={n} needs about {BYTES_PER_N * n} bytes "
+                          f"({BYTES_PER_N} per position), above the budget of "
+                          f"{MEMORY_BUDGET} bytes")
     half = n // 2
 
     # (2i - N - 1)/2 is an exact half-integer, antisymmetric under i -> N+1-i.

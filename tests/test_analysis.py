@@ -311,6 +311,40 @@ class TestValidate:
         s_forgets = ds.fringe_spacing(ds.find_peaks(profiles_250[QubitBehavior.FORGETS]), lobe)
         assert s_none == s_forgets
 
+    @pytest.fixture
+    def searched(self, monkeypatch):
+        """The behaviors of the profiles validate searches for peaks, in call order."""
+        searched = []
+        find_peaks = ds.analysis.find_peaks
+        monkeypatch.setattr(ds.analysis, "find_peaks",
+                            lambda profile: searched.append(profile.behavior) or
+                            find_peaks(profile))
+        return searched
+
+    def test_peaks_found_once_per_distinct_density(self, profiles_250, config_250, searched):
+        ds.validate(profiles_250, config_250)
+        assert searched == [QubitBehavior.NONE, QubitBehavior.REMEMBERS]  # forgets is none
+        forgets = profiles_250[QubitBehavior.FORGETS]
+        density = forgets.density.copy()
+        density[0] = np.nextafter(density[0], np.inf)                 # one ulp apart
+        searched.clear()
+        ds.validate({**profiles_250, QubitBehavior.FORGETS: replace(forgets, density=density)},
+                    config_250)
+        assert searched == list(QubitBehavior)
+
+    def test_shared_peaks_give_the_separate_report(self, profiles_250, config_250, searched):
+        # Forgets' density byte-swapped: the same values, a density of its own, so its
+        # peaks are searched for separately; the report must not change.
+        forgets = profiles_250[QubitBehavior.FORGETS]
+        swapped = forgets.density.astype(forgets.density.dtype.newbyteorder())
+        separate = ds.validate({**profiles_250,
+                                QubitBehavior.FORGETS: replace(forgets, density=swapped)},
+                               config_250)
+        assert searched == list(QubitBehavior)
+        shared = ds.validate(profiles_250, config_250)
+        assert separate.to_dict() == shared.to_dict()
+        assert separate.to_text() == shared.to_text()
+
     def test_literal_geometry_fails_fringe_check(self):
         # the literal upper-slit placement stretches the separation to d+a,
         # compressing fringes by ~20%; the lambda*L/d gate must catch that

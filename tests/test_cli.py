@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -116,6 +117,39 @@ class TestParseArgs:
                       for flag in re.findall(r"--[a-z][a-z-]*", line.split("|")[1])}
         options = {s for action in _build_parser()._actions for s in action.option_strings}
         assert documented == options - {"-h", "--help"}
+
+    def test_many_calls_build_one_parser(self, tmp_path, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *args, **kwargs: built.append(self) or
+                            init(self, *args, **kwargs))
+        _build_parser.cache_clear()
+        try:
+            for n in (16, 32, 16):
+                assert main(["--qubit", "none", "--n", str(n),
+                             "--csv", str(tmp_path / "o.csv")]) == 0
+            with pytest.raises(SystemExit):
+                parse_args(["--n", "3", "--csv", str(tmp_path / "o.csv")])
+            assert len(built) == 1
+        finally:
+            _build_parser.cache_clear()     # later tests build a plain parser
+
+    def test_usage_error_leaves_the_parser_as_it_was(self, tmp_path, capsys):
+        def outputs(directory):
+            directory.mkdir()
+            argv = ["--n", "64", "--csv", str(directory / "p.csv"),
+                    "--svg", str(directory / "p.svg"), "--report", str(directory / "R.json")]
+            assert main(argv) == 0
+            files = {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+            return files, capsys.readouterr()
+
+        alone = outputs(tmp_path / "alone")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--n", "64", "--qubit", "maybe", "--csv", str(tmp_path / "o.csv")])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: doubleslit ")
+        assert outputs(tmp_path / "after") == alone
 
     def test_duplicate_config_key_is_a_usage_error(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
@@ -259,10 +293,20 @@ class TestRun:
         assert not (tmp_path / "o.csv").exists()
 
     def test_unallocatable_grid_is_a_runtime_error(self, tmp_path, capsys):
-        # numpy refuses the 7 PiB grid before allocating anything.
+        # The memory budget refuses the run before numpy is asked for a 7 PiB grid.
         code = main(["--n", str(10**15), "--qubit", "none", "--csv", str(tmp_path / "o.csv")])
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: Unable to allocate")
+        assert capsys.readouterr().err == (
+            "error: n_positions=1000000000000000 needs about 170000000000000000 bytes "
+            "(170 per position), above the budget of 4294967296 bytes\n")
+
+    def test_size_over_budget_is_a_runtime_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(ds.physics, "MEMORY_BUDGET", 64 * ds.physics.BYTES_PER_N - 1)
+        code = main(["--n", "64", "--report", str(tmp_path / "R.json")])
+        assert code == 1
+        assert capsys.readouterr() == ("", "error: n_positions=64 needs about 10880 bytes "
+                                       "(170 per position), above the budget of 10879 bytes\n")
+        assert not (tmp_path / "R.json").exists()
 
     # Extreme values end in an error line before numpy can overflow: no RuntimeWarning.
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -344,15 +388,17 @@ sys.exit(code)
         assert result.stdout == "[]\n"
 
     def test_import_builds_no_formatter_tables(self, tmp_path):
-        # The writers' digit tables are built by the first call that needs them, not at import.
+        # The writers' digit tables and the CLI parser are built by the first call that
+        # needs them, not at import.
         code = """
 import doubleslit, doubleslit.cli
 from doubleslit import reporting as r
-sizes = lambda: print(r._csv_tables.cache_info().currsize, r._svg_tables.cache_info().currsize)
+sizes = lambda: print(r._csv_tables.cache_info().currsize, r._svg_tables.cache_info().currsize,
+                      doubleslit.cli._build_parser.cache_info().currsize)
 sizes()
 doubleslit.cli.main(["--qubit", "none", "--n", "1024", "--csv", "p.csv", "--svg", "p.svg"])
 sizes()
 """
         result = _fresh_python(code, tmp_path)
         assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines()[0] == "0 0" and result.stdout.endswith("1 1\n")
+        assert result.stdout == "0 0 0\n1 1 1\n"

@@ -176,6 +176,16 @@ class TestGrids:
             with pytest.raises(SimulationError, match=f"^{name} grid is not finite"):
                 ds.build_grids(cfg, derived)
 
+    def test_size_over_budget_is_refused(self, monkeypatch):
+        cfg = ds.ExperimentConfig(n_positions=16)
+        monkeypatch.setattr(ds.physics, "MEMORY_BUDGET", 16 * ds.physics.BYTES_PER_N)
+        assert ds.build_grids(cfg, ds.derive(cfg)).screen_positions.size == 16  # at the budget
+        monkeypatch.setattr(ds.physics, "MEMORY_BUDGET", 16 * ds.physics.BYTES_PER_N - 1)
+        with pytest.raises(ConfigError, match=r"^n_positions=16 needs about 2720 bytes "
+                                              r"\(170 per position\), above the budget of "
+                                              r"2719 bytes$"):
+            ds.build_grids(cfg, ds.derive(cfg))
+
     # Valid windows one and five ulps wide: their cells are narrower than float64 resolves
     # near 1, so screen positions would repeat.
     @pytest.mark.parametrize("n, screen_max", [(2, 1.0000000000000002), (16, 1.000000000000001)])

@@ -294,6 +294,20 @@ class TestAccumulate:
         monkeypatch.setattr(propagation, "_half_sums", None)
         assert ds.simulate_all(config_250, behaviors=()) == {}
 
+    # bench/ times the engine by wrapping the name propagation.accumulate, so simulate_all
+    # must reach the engine through it, once whatever the behaviors, and not without them.
+    @pytest.mark.parametrize("behaviors", [
+        (), (QubitBehavior.REMEMBERS,), (QubitBehavior.FORGETS, QubitBehavior.NONE),
+        tuple(QubitBehavior)])
+    def test_one_accumulate_through_the_module_name(self, behaviors, monkeypatch):
+        calls = []
+        engine = propagation.accumulate
+        monkeypatch.setattr(propagation, "accumulate",
+                            lambda *args, **kwargs: calls.append(1) or engine(*args, **kwargs))
+        cfg = ds.ExperimentConfig(n_positions=16)
+        assert tuple(ds.simulate_all(cfg, behaviors=behaviors)) == behaviors
+        assert len(calls) == (1 if behaviors else 0)
+
     def test_huge_thread_count_starts_no_thread(self, monkeypatch):
         cfg = ds.ExperimentConfig(n_positions=16)
         serial = {b: _field(cfg, b, threads=1) for b in QubitBehavior}
@@ -442,13 +456,14 @@ class TestAccumulate:
         assert_matches_oracle(cfg, samples, tol)
 
     @pytest.mark.parametrize("kwargs, n, whole_pipeline, bytes_per_n", [
-        ({}, 64_000, True, 170),                                    # the Taylor basis
+        ({}, 64_000, True, ds.physics.BYTES_PER_N),                 # the Taylor basis
         ({"screen_min": -30, "screen_max": 30}, 2000, False, 718),  # the exact basis
     ])
     def test_allocation_per_screen_point(self, kwargs, n, whole_pipeline, bytes_per_n):
         # tracemalloc peak per screen point of simulate_all at N=64000 and of accumulate alone
         # on +-30 m, at most what the factored-phase engine before the Taylor basis measured
         # (170 and 718 bytes); an engine that forms an (N, N/2) or an (N/2, TERMS) table fails.
+        # build_grids refuses an N whose BYTES_PER_N * N exceeds its budget.
         cfg = ds.ExperimentConfig(n_positions=n, **kwargs)
         derived = ds.derive(cfg)
         grids = ds.build_grids(cfg, derived)
