@@ -37,10 +37,22 @@ __all__ = [
     "kernel_prefactor",
 ]
 
+
+def _host_memory() -> float:
+    """The host's RAM plus swap in bytes (/proc/meminfo); unbounded where that is unreadable."""
+    try:
+        with open("/proc/meminfo") as meminfo:
+            kib = {line.split()[0]: int(line.split()[1]) for line in meminfo}
+        return 1024 * (kib["MemTotal:"] + kib["SwapTotal:"])
+    except (OSError, LookupError, ValueError):
+        return math.inf
+
+
 # tracemalloc peak of simulate_all per screen position (tests/test_propagation.py holds it)
-# and the most a run may ask for; build_grids refuses a larger N before it allocates.
+# and the most a run may ask for: a run estimated above the host's RAM plus swap cannot
+# finish there, so build_grids refuses it before it allocates and no servable run is lost.
 BYTES_PER_N = 170
-MEMORY_BUDGET = 4 * 2**30
+MEMORY_BUDGET = _host_memory()
 
 
 class GeometryMode(Enum):

@@ -292,13 +292,13 @@ class TestRun:
         assert re.match(f"error: largest engine phase {phase} rad .*\n$", capsys.readouterr().err)
         assert not (tmp_path / "o.csv").exists()
 
-    def test_unallocatable_grid_is_a_runtime_error(self, tmp_path, capsys):
-        # The memory budget refuses the run before numpy is asked for a 7 PiB grid.
+    def test_unallocatable_grid_is_a_runtime_error(self, tmp_path, capsys, monkeypatch):
+        # numpy refuses the 7 PiB grid before allocating anything; the budget is raised
+        # so that the run reaches numpy (as it does when the estimate is low).
+        monkeypatch.setattr(ds.physics, "MEMORY_BUDGET", 2**80)
         code = main(["--n", str(10**15), "--qubit", "none", "--csv", str(tmp_path / "o.csv")])
         assert code == 1
-        assert capsys.readouterr().err == (
-            "error: n_positions=1000000000000000 needs about 170000000000000000 bytes "
-            "(170 per position), above the budget of 4294967296 bytes\n")
+        assert capsys.readouterr().err.startswith("error: Unable to allocate")
 
     def test_size_over_budget_is_a_runtime_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(ds.physics, "MEMORY_BUDGET", 64 * ds.physics.BYTES_PER_N - 1)

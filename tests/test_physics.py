@@ -1,5 +1,6 @@
 import cmath
 import math
+import os
 import warnings
 from dataclasses import replace
 
@@ -185,6 +186,13 @@ class TestGrids:
                                               r"\(170 per position\), above the budget of "
                                               r"2719 bytes$"):
             ds.build_grids(cfg, ds.derive(cfg))
+
+    @pytest.mark.skipif(not os.path.exists("/proc/meminfo"), reason="no /proc/meminfo")
+    def test_budget_is_the_host_memory(self, monkeypatch):
+        # RAM plus swap, so a run the host could hold is never refused.
+        assert ds.physics.MEMORY_BUDGET >= os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        monkeypatch.setattr(ds.physics, "open", lambda *args: open("/nonexistent"), raising=False)
+        assert ds.physics._host_memory() == math.inf     # unreadable: no budget
 
     # Valid windows one and five ulps wide: their cells are narrower than float64 resolves
     # near 1, so screen positions would repeat.
