@@ -10,10 +10,11 @@ offsets rho_r) and each slit half taken about its centre x'_c (offsets u_k), the
 bilinear phase -2c*x*x' splits into the exact block and step factors of the
 centre, a block-by-offset factor and the small in-block term -2c*rho_r*u_k.
 Where R can hold more than TERMS points with that term within THETA, it is
-expanded in a Taylor series: a slit half costs (B+1)*N/2 complex exps and about
-B*(N/2)*TERMS multiply-adds, B = N/R, in place of N^2/2 (Candes, Demanet & Ying,
-*A fast butterfly algorithm for the computation of Fourier integral operators*,
-2009, for why an oscillatory kernel is low rank on such blocks).  On wide
+expanded in a Taylor series, and each block's factor is the middle block's times a
+power of one step factor: a slit half costs N + B + R complex exps and about
+B*(N/2)*TERMS multiply-adds, B = N/R, in place of N^2/2 (Candes, Demanet & Ying, *A
+fast butterfly algorithm for the computation of Fourier integral operators*, 2009,
+for why an oscillatory kernel is low rank on such blocks).  On wide
 windows, where R would be small, the term comes from an exact step table and the
 half costs N^2/2 multiply-adds, as chunked complex matrix products.  On
 mirror-image grids (the corrected geometry on a window symmetric about 0)
@@ -79,17 +80,17 @@ class IntensityProfile:
     config: ExperimentConfig
 
 
-def _half_sums(h: np.ndarray, q: np.ndarray, c: float, blocks: np.ndarray, rho: np.ndarray,
+def _half_sums(h: np.ndarray, c: float, blocks: np.ndarray, rho: np.ndarray,
                chunk_sum, expand) -> np.ndarray:
-    """sum_k q[k] * exp(-2i*c*x*h[k]) at x = blocks[b] + rho[r], shape (B, R), for the slit
-    half h[k] = centre + u[k]: chunk_sum(u_s, q_s) sums each chunk of CHUNK slit points, in
-    ascending order, without the centre's phase; their total, times ``expand`` unless that
-    is None, is multiplied by exp(-2i*c*blocks*centre) and exp(-2i*c*rho*centre), which
-    carry the largest phases."""
+    """sum_k amp * exp(i*c*(h[k]^2 - 2*x*h[k])) at x = blocks[b] + rho[r], shape (B, R), for
+    the slit half h[k] = centre + u[k]: chunk_sum(u_s, h_s) sums each chunk of CHUNK slit
+    points with its amplitude amp, in ascending order, without the centre's phase; their
+    total, times ``expand`` unless that is None, is multiplied by exp(-2i*c*blocks*centre)
+    and exp(-2i*c*rho*centre), which carry the largest phases."""
     centre = 0.5 * (h[0] + h[-1])
     out = 0
     for s in range(0, h.size, CHUNK):
-        out += chunk_sum(h[s:s + CHUNK] - centre, q[s:s + CHUNK])
+        out += chunk_sum(h[s:s + CHUNK] - centre, h[s:s + CHUNK])
     if expand is not None:
         out = out @ expand
     return (np.exp(1j * (-2.0 * c * centre * blocks))[:, None] * out
@@ -105,21 +106,23 @@ def _powers(y: np.ndarray) -> np.ndarray:
     return p
 
 
-def _screen_basis(n: int, c: float, derived: DerivedQuantities, screen: np.ndarray):
+def _screen_basis(n: int, c: float, derived: DerivedQuantities, screen: np.ndarray, amp: complex):
     """(blocks, rho, chunk_sum, expand) for :func:`_half_sums`: screen point j = b*R + r is
-    at blocks[b] + rho[r], and chunk_sum(u, q) is sum_k q[k] * exp(-2i*c*x*u[k]) over a
-    chunk of slit offsets u, as a (B, R) array or as (B, TERMS) moments that ``expand``
-    (TERMS, R) turns into one.
+    at blocks[b] + rho[r], and chunk_sum(u, h) is sum_k amp * exp(i*c*(h[k]^2 - 2*x*u[k]))
+    over a chunk of slit points h, offsets u, as a (B, R) array or as (B, TERMS) moments
+    that ``expand`` (TERMS, R) turns into one.
 
     In a block of R screen points |2c*rho*u| <= (R - 1)*c*a_h*delta_screen, a_h the largest
     |u|.  R is the largest block that keeps this within THETA.  Where R > TERMS the Taylor
     basis costs less than the exact one and is taken: exp(-2i*c*rho*u) is the sum over
     m < TERMS of (-i*theta)^m/m! * (rho/max rho)^m * (u/a_h)^m, so a chunk's moments are
-    (T * q) @ (u/a_h)^m with T = exp(-2i*c*blocks (x) u), and ``expand`` holds the rest.
+    T @ (u/a_h)^m with T = amp * exp(i*c*(h^2 - 2*blocks (x) u)), and ``expand`` holds the
+    rest.  Only T's middle row is an exp; the rows above it are its products by W, W^2, ...
+    and those below by conj(W), ..., with W = exp(-2i*c*R*delta_screen*u).
     Otherwise R = isqrt(N) and a chunk with middle m and offsets m + t adds
-    v * ((F * q) @ G) * e, with F = exp(-2i*c*blocks (x) t) and G = exp(-2i*c*t (x) rho)
-    shared by every chunk, v = exp(-2i*c*m*blocks) and e = exp(-2i*c*m*rho); ``expand``
-    is None."""
+    v * ((F * q) @ G) * e, with q = amp * exp(i*c*h^2), F = exp(-2i*c*blocks (x) t) and
+    G = exp(-2i*c*t (x) rho) shared by every chunk, v = exp(-2i*c*m*blocks) and
+    e = exp(-2i*c*m*rho); ``expand`` is None."""
     a_h = (n // 2 - 1) / 2 * derived.delta_slit
     span = c * a_h * derived.delta_screen
     stride = n if span * (n - 1) <= THETA else 1 + int(THETA / span)
@@ -131,10 +134,17 @@ def _screen_basis(n: int, c: float, derived: DerivedQuantities, screen: np.ndarr
     if taylor:
         theta = span * (stride - 1)
         coeff = np.cumprod(np.concatenate(([1.0], -1j * theta / np.arange(1, TERMS))))
+        mid, step = blocks.size // 2, stride * derived.delta_screen
 
-        def moments(u, q):
-            t = np.exp(1j * (-2.0 * c * np.multiply.outer(blocks, u)))
-            return (t * q) @ _powers(u / a_h).T
+        def moments(u, h):
+            t = np.empty((blocks.size, u.size), complex)
+            t[mid] = amp * np.exp(1j * (c * (h * h) - 2.0 * c * blocks[mid] * u))
+            w = np.exp(1j * (-2.0 * c * step * u)) if blocks.size > 1 else None
+            for b in range(mid + 1, blocks.size):
+                np.multiply(t[b - 1], w, out=t[b])
+            for b in range(mid - 1, -1, -1):
+                np.multiply(t[b + 1], w.conj(), out=t[b])
+            return t @ _powers(u / a_h).T
 
         return blocks, rho, moments, coeff[:, None] * _powers(rho / rho[-1])
     width = min(CHUNK, n // 2)
@@ -142,10 +152,11 @@ def _screen_basis(n: int, c: float, derived: DerivedQuantities, screen: np.ndarr
     f = np.exp(1j * (-2.0 * c * np.multiply.outer(blocks, offsets)))
     g = np.exp(1j * (-2.0 * c * np.multiply.outer(offsets, rho)))
 
-    def sums(u, q):
+    def sums(u, h):
         mid = u[0] - offsets[0]
         v = np.exp(1j * (-2.0 * c * mid * blocks))
         e = np.exp(1j * (-2.0 * c * mid * rho))
+        q = amp * np.exp(1j * (c * (h * h)))
         return v[:, None] * ((f[:, :q.size] * q) @ g[:q.size]) * e
 
     return blocks, rho, sums, None
@@ -182,12 +193,11 @@ def accumulate(config: ExperimentConfig, derived: DerivedQuantities, grids: Grid
     if not phase <= PHASE_LIMIT:
         raise SimulationError(f"largest engine phase {phase:.3e} rad exceeds {PHASE_LIMIT:.3e} "
                               f"rad, beyond which float64 rounds it by more than 1e-6 rad")
-    blocks, rho, chunk_sum, expand = _screen_basis(n, c, derived, grids.screen_positions)
-    weight = kernel_prefactor(config, derived) * derived.slit_amplitude
+    amp = kernel_prefactor(config, derived) * derived.slit_amplitude
+    blocks, rho, chunk_sum, expand = _screen_basis(n, c, derived, grids.screen_positions, amp)
 
     def slit_sum(h):
-        q = weight * np.exp(1j * (c * (h * h)))
-        return _half_sums(h, q, c, blocks, rho, chunk_sum, expand).ravel()[:n]
+        return _half_sums(h, c, blocks, rho, chunk_sum, expand).ravel()[:n]
 
     upper, screen = slit_sum(grids.upper_slit), grids.screen_positions
     mirrored = (np.array_equal(grids.lower_slit, -grids.upper_slit[::-1])

@@ -160,8 +160,8 @@ def _csv_rows(xs, ys) -> bytes:
     d, k, exact = _digits(v, powers)
     words = np.empty((v.size, _TEMPLATE // 8), np.uint64)
     for col in range(4, 0, -1):                         # D's four-digit groups, last first
-        d, group = np.divmod(d, 10_000)
-        words[:, col] = dotted.take(group)
+        q = d // 10_000                                 # faster than np.divmod, same digits
+        words[:, col], d = dotted.take(d - q * 10_000), q
     words[:, 0] = lead.take(d + 10 * (v < 0))
     words[:, 5] = exponent.take(k - _K_MIN)
     rows = words.view(np.uint8)

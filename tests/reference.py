@@ -50,6 +50,34 @@ def kernel(x, x_prime, config: ExperimentConfig, derived: DerivedQuantities):
     return out
 
 
+LONG_DOUBLE_PI = np.longdouble("3.14159265358979323846264338327950288")
+
+
+def long_double_densities(config: ExperimentConfig, slit, screen):
+    """(coherent, marked) long-double densities at every screen point from the factored sums
+    S(x) = sum over a slit half of exp(i*c*(x'^2 - 2*x*x')) in long double, with
+    c = pi/(lambda*L) and the scale |A|^2 * slit_amplitude^2 = 2a/(lambda*L*N^2) formed in
+    long double from the float config, and the float grids taken as exact.  Each phase is
+    reduced modulo 2*pi in long double before its cosine and sine are taken, and the slit
+    points are summed 256 at a time.  none and forgets see the coherent density, remembers
+    the marked one."""
+    ld = np.longdouble
+    n, length = config.n_positions, ld(config.wavelength) * ld(config.wall_to_screen)
+    c, x = LONG_DOUBLE_PI / length, screen.astype(ld)[:, None]
+    sums = []
+    for half in (slit[:n // 2], slit[n // 2:]):
+        total = np.zeros(screen.size, np.clongdouble)
+        for start in range(0, half.size, 256):
+            xp = half[start:start + 256].astype(ld)
+            phase = np.mod(c * xp * (xp - 2 * x), 2 * LONG_DOUBLE_PI)
+            total += np.cos(phase).sum(axis=1) + 1j * np.sin(phase).sum(axis=1)
+        sums.append(total)
+    scale = 2 * ld(config.slit_width) / (length * n * n)
+    coherent = scale * np.abs(sums[0] + sums[1]) ** 2
+    marked = scale * (np.abs(sums[0]) ** 2 + np.abs(sums[1]) ** 2)
+    return coherent, marked
+
+
 def profile_csv_rows(positions, density) -> str:
     """The CSV body as the emitter once wrote it: one formatted row per screen position."""
     return "".join(f"{x:.17g},{p:.17g}\n" for x, p in zip(positions, density))

@@ -14,7 +14,7 @@ import doubleslit as ds
 from doubleslit import propagation
 from doubleslit.errors import SimulationError
 from doubleslit.qubit import QubitBehavior
-from reference import is_allowed, kernel
+from reference import is_allowed, kernel, long_double_densities
 
 # Frozen oracle: the single lower-slit term at N=2 under the inactive qubit,
 # A * slit_amplitude * exp(i*c*(x'^2 - 2*x*x')) with x' = -d/2 (the amplitude
@@ -30,6 +30,8 @@ ORACLE_TOL = 1e-13      # of the peak density
 # is at most 6.1e-8 at N=16 and 1.6e-9 at N=250: each of its ~5e8-rad phases
 # is rounded by up to ~6e-8 rad.
 MASKED_ROW_TOL = {16: 1e-7, 250: 1e-8}
+EXTENDED_LONG_DOUBLE = pytest.mark.skipif(
+    np.finfo(np.longdouble).nmant < 63, reason="long double has fewer than 64 significand bits")
 
 
 def _field(config, behavior, threads=1):
@@ -76,12 +78,21 @@ def oracle_densities(config, samples):
     return np.array(coherent), np.array(marked)
 
 
-def assert_matches_oracle(config, samples, tol=ORACLE_TOL):
-    coherent, marked = oracle_densities(config, samples)
+def assert_matches_oracle(config, samples, tol=ORACLE_TOL, oracle=oracle_densities):
+    """Every behavior's density at screen[samples] is within ``tol`` of the peak of the
+    (coherent, marked) densities ``oracle(config, samples)``."""
+    coherent, marked = oracle(config, samples)
     for behavior, profile in ds.simulate_all(config).items():
         reference = marked if behavior is QubitBehavior.REMEMBERS else coherent
         err = np.abs(profile.density[samples] - reference).max() / profile.density.max()
         assert err <= tol, f"{behavior.value}: {err:.3e} of the peak"
+
+
+def long_double_oracle(config, samples):
+    """``reference.long_double_densities`` at screen[samples]."""
+    grids = ds.build_grids(config, ds.derive(config))
+    return [d[samples] for d in long_double_densities(config, grids.slit_positions,
+                                                      grids.screen_positions)]
 
 
 def largest_phase(config):
@@ -150,6 +161,33 @@ class TestAccumulate:
     def test_full_profiles_match_oracle(self, n, geometry):
         cfg = ds.ExperimentConfig(n_positions=n, geometry_mode=geometry)
         assert_matches_oracle(cfg, np.arange(n))
+
+    # Every screen point against the long-double reference, at the bounds of the 40-digit
+    # oracle: the reference window at N=250 and 2000 in both geometries, and +-1 m at N=2000,
+    # where the Taylor basis has 38 blocks.
+    @EXTENDED_LONG_DOUBLE
+    @pytest.mark.parametrize("kwargs", [
+        {"n_positions": 250}, {"n_positions": 2000},
+        {"n_positions": 250, "geometry_mode": ds.GeometryMode.PAPER_LITERAL},
+        {"n_positions": 2000, "geometry_mode": ds.GeometryMode.PAPER_LITERAL},
+        {"n_positions": 2000, "screen_min": -1, "screen_max": 1},
+    ])
+    def test_whole_profile_matches_long_double_reference(self, kwargs):
+        cfg = ds.ExperimentConfig(**kwargs)
+        tol = max(ORACLE_TOL, largest_phase(cfg) * 2.0 ** -53)
+        assert_matches_oracle(cfg, np.arange(cfg.n_positions), tol, long_double_oracle)
+
+    @EXTENDED_LONG_DOUBLE
+    @pytest.mark.parametrize("kwargs", [
+        {"n_positions": 250},
+        {"n_positions": 2000, "geometry_mode": ds.GeometryMode.PAPER_LITERAL},
+        {"n_positions": 2000, "screen_min": -1, "screen_max": 1},
+    ])
+    def test_long_double_reference_matches_the_40_digit_oracle(self, kwargs):
+        cfg = ds.ExperimentConfig(**kwargs)
+        samples = np.linspace(0, cfg.n_positions - 1, 12).astype(int)
+        for ours, oracle in zip(long_double_oracle(cfg, samples), oracle_densities(cfg, samples)):
+            assert np.abs(ours.astype(float) - oracle).max() <= 1e-17 * oracle.max()
 
     @pytest.mark.parametrize("geometry", list(ds.GeometryMode))
     def test_sampled_points_match_oracle_at_n2000(self, geometry):
@@ -385,15 +423,17 @@ class TestAccumulate:
         assert all(np.all(np.isfinite(p.density)) for p in ds.simulate_all(cfg).values())
 
     @pytest.mark.parametrize("kwargs, halves, n_pinned, pinned", [
-        ({}, 1, 8000, 29_399),
-        ({"geometry_mode": ds.GeometryMode.PAPER_LITERAL}, 2, 8000, 58_798),
+        ({}, 1, 8000, 9_399),
+        ({"geometry_mode": ds.GeometryMode.PAPER_LITERAL}, 2, 8000, 18_798),
+        ({"screen_min": -1, "screen_max": 1}, 1, 2000, 2_091),        # B = 38
+        ({"screen_min": -0.02, "screen_max": 0.02}, 1, 2000, 3_001),  # B = 1: no step row
         ({"screen_min": -30, "screen_max": 30}, 1, 2000, 47_350),     # the exact basis
     ])
     def test_exp_count_per_pass(self, monkeypatch, kwargs, halves, n_pinned, pinned):
         # Complex exps per pass, h the slit halves summed, R the block length and
-        # B = ceil(N/R) (block_length gives R and the basis): h*((B + 1)*N/2 + B + R) on the
-        # Taylor basis; h*(N/2 + B + R + (B + R)*ceil(N/1024)) + (B + R)*min(512, N/2) on
-        # the exact one.
+        # B = ceil(N/R) (block_length gives R and the basis): h*(N + B + R) on the Taylor
+        # basis, N/2 for the middle block's row and N/2 for the step row, which B = 1 skips;
+        # h*(N/2 + B + R + (B + R)*ceil(N/1024)) + (B + R)*min(512, N/2) on the exact one.
         counted = []
         exp = np.exp
 
@@ -410,7 +450,7 @@ class TestAccumulate:
             r, taylor = block_length(cfg)
             b = -(-n // r)
             if taylor:
-                assert sum(counted) == halves * ((b + 1) * n // 2 + b + r)
+                assert sum(counted) == halves * ((n if b > 1 else n // 2) + b + r)
             else:
                 assert sum(counted) == (halves * (n // 2 + b + r + (b + r) * -(-n // 1024))
                                         + (b + r) * min(512, n // 2))
@@ -454,6 +494,18 @@ class TestAccumulate:
         tol = ORACLE_TOL if n == 2000 else largest_phase(cfg) * 2.0 ** -53
         samples = np.arange(n) if n <= 250 else np.linspace(0, n - 1, 12).astype(int)
         assert_matches_oracle(cfg, samples, tol)
+
+    @pytest.mark.parametrize("window", [1, 2.5])
+    @pytest.mark.parametrize("geometry", list(ds.GeometryMode))
+    def test_deepest_step_recursions_match_oracle(self, window, geometry):
+        # On +-1 m and +-2.5 m at N=2000 the Taylor basis has 38 and 96 blocks, so the rows
+        # farthest from the middle one are 19 and 48 products by the step row away from it.
+        cfg = ds.ExperimentConfig(n_positions=2000, screen_min=-window, screen_max=window,
+                                  geometry_mode=geometry)
+        r, taylor = block_length(cfg)
+        assert taylor and -(-2000 // r) == {1: 38, 2.5: 96}[window]
+        tol = max(ORACLE_TOL, largest_phase(cfg) * 2.0 ** -53)
+        assert_matches_oracle(cfg, np.linspace(0, 1999, 12).astype(int), tol)
 
     @pytest.mark.parametrize("kwargs, n, whole_pipeline, bytes_per_n", [
         ({}, 64_000, True, ds.physics.BYTES_PER_N),                 # the Taylor basis
