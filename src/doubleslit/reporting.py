@@ -31,7 +31,7 @@ __all__ = [
 
 CSV_HEADER = "x_m,probability_density"
 
-# Both writers format with numpy (below), a chunk of rows at a time.
+# Both writers format with numpy (below), a chunk of rows at a time, in _text_chunks.
 _CHUNK_ROWS = 1024
 
 # Chunk lists with the (positions, density) bytes they were formatted from, for the one
@@ -40,6 +40,21 @@ _CHUNK_ROWS = 1024
 # Looked up by ==, not by hash: hashing the bytes cost a one-behavior N=8000 run 0.1 ms.
 _memo: list[tuple[bytes, bytes, list[bytes]]] = []
 _memo_for = lambda: None        # weakref.ref of the memo's positions array; none yet
+
+
+def _text_chunks(xs, ys, layout, end: bytes) -> list[bytes]:
+    """The text of ``xs`` and ``ys``, _CHUNK_ROWS rows a chunk: ``layout`` gives each chunk's
+    interleaved values their byte rows, the rows "%" must write and its template row; each
+    x's row ends in "," and each y's in ``end``, in its last byte, and the NULs are dropped."""
+    def chunk(v):           # a function, so a chunk's arrays are freed before the next one's
+        words, fallback, template = layout(v)
+        words[fallback] = template
+        rows = words.view(np.uint8).reshape(len(words), -1)
+        rows[0::2, -1], rows[1::2, -1] = ord(","), ord(end)
+        text = rows.tobytes().translate(None, b"\0")
+        return text % tuple(v[fallback].tolist()) if fallback.size else text
+    return [chunk(np.column_stack((xs[i:i + _CHUNK_ROWS], ys[i:i + _CHUNK_ROWS])).ravel())
+            for i in range(0, xs.size, _CHUNK_ROWS)]
 
 
 def write_profile_csv(profile: IntensityProfile, path) -> None:
@@ -60,8 +75,7 @@ def write_profile_csv(profile: IntensityProfile, path) -> None:
     xb, yb = xs.tobytes(), ys.tobytes()
     parts = next((p for x, y, p in _memo if x == xb and y == yb), None)
     if parts is None:
-        parts = [_csv_rows(xs[i:i + _CHUNK_ROWS], ys[i:i + _CHUNK_ROWS])
-                 for i in range(0, xs.size, _CHUNK_ROWS)]
+        parts = _text_chunks(xs, ys, _csv_rows, b"\n")
         _memo.append((xb, yb, parts))
     with open(path, "wb") as fh:
         fh.write(CSV_HEADER.encode("ascii") + b"\n")
@@ -82,10 +96,10 @@ _K_MIN, _K_MAX = -282, 282             # the k tabled: [1e-280, 1e280]'s and log
 _FAST_MIN, _FAST_MAX = 1e-280, 1e280
 # Each value gets a 48-byte template row that holds every byte "%.17g" may write for it,
 # in the order written: its sign (NUL or "-"), "0.000", D's 17 digits each followed by
-# ".", its exponent ("e-05" or "e+100", NUL-padded; all NUL in fixed notation) and the
-# row's terminator.  A keep row masks the row to the bytes written; NULs are then dropped.
-_DIGIT, _E, _END, _TEMPLATE = 6, 40, 45, 48
-_FALLBACK = 21 * 17                     # the keep row that keeps a "%.17g" template whole
+# ".", and its exponent ("e-05" or "e+100", NUL-padded; all NUL in fixed notation).  The
+# row's last byte, a NUL of that padding, takes the row's terminator in _text_chunks.  A
+# keep row masks the row to the bytes written, before the "%.17g" templates are written.
+_DIGIT, _E, _TEMPLATE = 6, 40, 48
 
 
 def _split(a):
@@ -116,18 +130,17 @@ def _csv_tables():
     exponent = np.frombuffer(b"".join((b"" if k in fixed else b"e%+03d" % k).ljust(8, b"\0")
                                       for k in ks), np.uint64)
     # keep[(point + 4) * 17 + nd - 1] keeps the bytes written for nd significant digits
-    # placed by `point`, which is k in fixed notation and 0 otherwise; the last row,
-    # _FALLBACK, keeps every byte.
+    # placed by `point`, which is k in fixed notation and 0 otherwise.
     point = np.array(fixed)[:, None, None]
     nd = np.arange(1, 18)[:, None]
     col = np.arange(_TEMPLATE)
     i, after = np.divmod(col - _DIGIT, 2)               # D's digit i, or the byte after it
     digits = (col >= _DIGIT) & (col < _E)
-    keep = ((col == 0) | (col >= _E)                    # sign, exponent, terminator
+    keep = ((col == 0) | (col >= _E)                    # sign, exponent
             | ((point < 0) & (col <= 1 - point))        # "0." and -k-1 zeros
             | digits & (after == 0) & (i < np.maximum(nd, point + 1))   # to the point
             | digits & (after == 1) & (i == point) & (nd > point + 1))  # point, digits after
-    keep = np.vstack((keep.reshape(_FALLBACK, _TEMPLATE), np.ones(_TEMPLATE, bool)))
+    keep = keep.reshape(-1, _TEMPLATE)
     k_rows = np.array([17 * ((k if k in fixed else 0) + 4) + 16 for k in ks])  # nd = 17
     template = np.frombuffer(b"%.17g".ljust(_TEMPLATE, b"\0"), np.uint64)
     tables = powers, lead, dotted.view(np.uint64).ravel(), exponent, keep, k_rows, template
@@ -153,10 +166,9 @@ def _digits(v, powers):
     return d, k, exact
 
 
-def _csv_rows(xs, ys) -> bytes:
-    """The CSV rows of ``xs`` and ``ys``, byte for byte as "%.17g,%.17g\\n" writes them."""
+def _csv_rows(v):
+    """_text_chunks's layout of interleaved values for "%.17g,%.17g\\n"."""
     powers, lead, dotted, exponent, keep, k_rows, template = _csv_tables()
-    v = np.column_stack((xs, ys)).ravel()
     d, k, exact = _digits(v, powers)
     words = np.empty((v.size, _TEMPLATE // 8), np.uint64)
     for col in range(4, 0, -1):                         # D's four-digit groups, last first
@@ -167,14 +179,8 @@ def _csv_rows(xs, ys) -> bytes:
     rows = words.view(np.uint8)
     nonzero = rows[:, _DIGIT + 32:_DIGIT - 1:-2] != ord("0")   # D's digits, last first
     kept = k_rows.take(k - _K_MIN) - np.argmax(nonzero, axis=1)
-    fallback = np.flatnonzero(exact)
-    words[fallback] = template
-    kept[fallback] = _FALLBACK
-    rows[0::2, _END] = ord(",")
-    rows[1::2, _END] = ord("\n")
     rows *= keep.take(kept, axis=0)                     # NUL out the bytes not written
-    text = rows.tobytes().translate(None, b"\0")
-    return text % tuple(v[fallback].tolist()) if fallback.size else text
+    return words, np.flatnonzero(exact), template
 
 
 def read_profile_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -200,9 +206,9 @@ _N_XTICKS, _N_YTICKS = 7, 6
 # roundings are monotone and keep the halves and integers they pass, so n is exact unless q
 # is an integer, where v * 100 is a tie or within 2**-36 of one.  Each value gets an 8-byte
 # row: n // 100 right-aligned with its leading blanks NUL, ".", the two digits of n % 100,
-# and "," or " ".  Values outside (0, 999.995) (zeros, negatives, which may print as
-# "-0.00", non-finite values) and those with an integer q get the row "%.2f" instead, and
-# are written by it.
+# a NUL and, in the last byte, "," or " ".  Values outside (0, 999.995) (zeros, negatives,
+# which may print as "-0.00", non-finite values) and those with an integer q get the row
+# "%.2f" instead, and are written by it.
 
 
 @functools.cache
@@ -213,10 +219,9 @@ def _svg_tables():
     return [np.frombuffer(table, np.int64) for table in tables]   # read-only views
 
 
-def _svg_rows(xs, ys) -> bytes:
-    """The polyline points of ``xs`` and ``ys``, byte for byte as "%.2f,%.2f " writes them."""
+def _svg_rows(v):
+    """_text_chunks's layout of interleaved values for "%.2f,%.2f "."""
     ints, cents, template = _svg_tables()
-    v = np.column_stack((xs, ys)).ravel()
     exact = ~((v > 0) & (v < 999.995))
     q = v.copy()
     q[exact] = 0.0
@@ -226,13 +231,7 @@ def _svg_rows(xs, ys) -> bytes:
     exact |= q == n
     hi, lo = np.divmod(n.astype(np.int64), 100)
     words = ints.take(hi) + cents.take(lo)              # disjoint bytes, so the sum joins them
-    fallback = np.flatnonzero(exact)
-    words[fallback] = template
-    rows = words.view(np.uint8).reshape(-1, 8)
-    rows[0::2, 6] = ord(",")
-    rows[1::2, 6] = ord(" ")
-    text = rows.tobytes().translate(None, b"\0")
-    return text % tuple(v[fallback].tolist()) if fallback.size else text
+    return words, np.flatnonzero(exact), template
 
 
 def profile_svg(profile: IntensityProfile) -> str:
@@ -272,8 +271,7 @@ def profile_svg(profile: IntensityProfile) -> str:
     if not on_plot.all():
         i = int(np.argmin(on_plot))
         raise ValueError(f"point {i} at ({xs[i]}, {ys[i]}) has no finite plot coordinates")
-    points = b"".join([_svg_rows(xp[i:i + _CHUNK_ROWS], yp[i:i + _CHUNK_ROWS])
-                       for i in range(0, xs.size, _CHUNK_ROWS)])[:-1].decode("ascii")
+    points = b"".join(_text_chunks(xp, yp, _svg_rows, b" "))[:-1].decode("ascii")
     title = f"qubit behavior: {profile.behavior.value}"
 
     parts = [

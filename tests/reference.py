@@ -53,29 +53,59 @@ def kernel(x, x_prime, config: ExperimentConfig, derived: DerivedQuantities):
 LONG_DOUBLE_PI = np.longdouble("3.14159265358979323846264338327950288")
 
 
+def long_double_phases(config: ExperimentConfig, slit, screen):
+    """(screen, slit) phases c*(x'^2 - 2*x*x') of the factored kernel in long double, with
+    c = pi/(lambda*L) formed in long double from the float config and the float grids taken
+    as exact, each reduced modulo 2*pi in long double."""
+    ld = np.longdouble
+    c = LONG_DOUBLE_PI / (ld(config.wavelength) * ld(config.wall_to_screen))
+    x, xp = screen.astype(ld)[:, None], slit.astype(ld)
+    return np.mod(c * xp * (xp - 2 * x), 2 * LONG_DOUBLE_PI)
+
+
+def long_double_scale(config: ExperimentConfig):
+    """|A|^2 * slit_amplitude^2 = 2a/(lambda*L*N^2), formed in long double."""
+    ld, n = np.longdouble, config.n_positions
+    return 2 * ld(config.slit_width) / (ld(config.wavelength) * ld(config.wall_to_screen) * n * n)
+
+
 def long_double_densities(config: ExperimentConfig, slit, screen):
     """(coherent, marked) long-double densities at every screen point from the factored sums
-    S(x) = sum over a slit half of exp(i*c*(x'^2 - 2*x*x')) in long double, with
-    c = pi/(lambda*L) and the scale |A|^2 * slit_amplitude^2 = 2a/(lambda*L*N^2) formed in
-    long double from the float config, and the float grids taken as exact.  Each phase is
-    reduced modulo 2*pi in long double before its cosine and sine are taken, and the slit
-    points are summed 256 at a time.  none and forgets see the coherent density, remembers
-    the marked one."""
-    ld = np.longdouble
-    n, length = config.n_positions, ld(config.wavelength) * ld(config.wall_to_screen)
-    c, x = LONG_DOUBLE_PI / length, screen.astype(ld)[:, None]
+    S(x) = sum over a slit half of exp(i*c*(x'^2 - 2*x*x')), with the phases of
+    ``long_double_phases`` and the scale of ``long_double_scale``; the slit points are
+    summed 256 at a time.  none and forgets see the coherent density, remembers the marked
+    one."""
+    n = config.n_positions
     sums = []
     for half in (slit[:n // 2], slit[n // 2:]):
         total = np.zeros(screen.size, np.clongdouble)
         for start in range(0, half.size, 256):
-            xp = half[start:start + 256].astype(ld)
-            phase = np.mod(c * xp * (xp - 2 * x), 2 * LONG_DOUBLE_PI)
+            phase = long_double_phases(config, half[start:start + 256], screen)
             total += np.cos(phase).sum(axis=1) + 1j * np.sin(phase).sum(axis=1)
         sums.append(total)
-    scale = 2 * ld(config.slit_width) / (length * n * n)
+    scale = long_double_scale(config)
     coherent = scale * np.abs(sums[0] + sums[1]) ** 2
     marked = scale * (np.abs(sums[0]) ** 2 + np.abs(sums[1]) ** 2)
     return coherent, marked
+
+
+def allowed_weights(behavior, n):
+    """(n, 2) 0/1 weights from ``is_allowed``: row i'-1, column e-1 counts the wall states
+    e' of wall cell i' that reach screen state e (at most one does)."""
+    return np.array([[sum(is_allowed(behavior, n, i_prime, e_prime, e) for e_prime in (1, 2))
+                      for e in (1, 2)] for i_prime in range(1, n + 1)], dtype=float)
+
+
+def masked_matrix_density(config: ExperimentConfig, behavior, slit, screen):
+    """The long-double density at every screen point from the masked composite matrix:
+    entry ((e, x), (e', i')) is is_allowed(behavior, N, i', e', e) times the factored kernel
+    exp(i*c*(x'^2 - 2*x*x')) of ``long_double_phases``, every wall state e' carrying the slit
+    amplitude; screen state e at x sums its row over every (e', i'), and the states'
+    probabilities add, scaled by ``long_double_scale``.  The dropped factor exp(i*c*x^2) is
+    common to a row, so the density is exact without it."""
+    phase = long_double_phases(config, slit, screen)
+    states = (np.cos(phase) + 1j * np.sin(phase)) @ allowed_weights(behavior, slit.size)
+    return long_double_scale(config) * (states.real ** 2 + states.imag ** 2).sum(axis=1)
 
 
 def profile_csv_rows(positions, density) -> str:

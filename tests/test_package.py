@@ -1,6 +1,9 @@
 import ast
 import importlib
 import inspect
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -68,6 +71,22 @@ def test_bench_imports_exist():
     missing = [f"{file}: from {module} import {name}" for file, module, name in imports
                if not hasattr(importlib.import_module(module), name)]
     assert not missing
+
+
+def test_bench_own_tests_pass_on_a_copy(tmp_path):
+    # The benchmark's own checks (traced spans nonzero, corrupted profiles counted as
+    # failed), run on a copy so that the benchmark's build directory stays out of the
+    # checkout.
+    root = BENCH.parent
+    for name in ("src", "bench"):
+        shutil.copytree(root / name, tmp_path / name,
+                        ignore=shutil.ignore_patterns("__pycache__", ".bench_build"))
+    for name in ("BENCHMARK.json", "pyproject.toml"):
+        shutil.copy2(root / name, tmp_path / name)
+    result = subprocess.run([sys.executable, "-m", "pytest", "bench", "-q", "-p",
+                             "no:cacheprovider"], cwd=tmp_path, capture_output=True, text=True,
+                            timeout=600)
+    assert result.returncode == 0, result.stdout[-3000:] + result.stderr[-3000:]
 
 
 SRC = Path(ds.__file__).resolve().parent

@@ -14,7 +14,7 @@ import doubleslit as ds
 from doubleslit import propagation
 from doubleslit.errors import SimulationError
 from doubleslit.qubit import QubitBehavior
-from reference import is_allowed, kernel, long_double_densities
+from reference import allowed_weights, long_double_densities, masked_matrix_density
 
 # Frozen oracle: the single lower-slit term at N=2 under the inactive qubit,
 # A * slit_amplitude * exp(i*c*(x'^2 - 2*x*x')) with x' = -d/2 (the amplitude
@@ -26,10 +26,6 @@ N2_LOWER_E1 = (
 )
 ORACLE_DIGITS = 40
 ORACLE_TOL = 1e-13      # of the peak density
-# masked_row_reference's own distance from the 40-digit oracle, of the peak,
-# is at most 6.1e-8 at N=16 and 1.6e-9 at N=250: each of its ~5e8-rad phases
-# is rounded by up to ~6e-8 rad.
-MASKED_ROW_TOL = {16: 1e-7, 250: 1e-8}
 EXTENDED_LONG_DOUBLE = pytest.mark.skipif(
     np.finfo(np.longdouble).nmant < 63, reason="long double has fewer than 64 significand bits")
 
@@ -103,40 +99,12 @@ def largest_phase(config):
     return derived.phase_scale * xp * (2 * x + xp)
 
 
-def masked_row_reference(config, behavior):
-    """(N, 2) screen-state amplitudes from the per-cell masked sums of the full
-    kernel: every screen row, slit half and screen state e sums kernel *
-    amplitude * 0/1 weight left to right, and the halves add.  Its entries carry
-    the factor exp(i*c*x^2) and its phases reach ~1e8 rad, so it agrees with
-    the engine in density only, to about 1e-9 of the peak."""
-    derived = ds.derive(config)
-    grids = ds.build_grids(config, derived)
-    weights = allowed_weights(config, behavior)
-    half = config.n_positions // 2
-    fields = []
-    for slit_half, w in ((grids.lower_slit, weights[:half]), (grids.upper_slit, weights[half:])):
-        amp = np.empty((config.n_positions, 2), dtype=complex)
-        for i, x in enumerate(grids.screen_positions):
-            terms = kernel(x, slit_half, config, derived) * derived.slit_amplitude
-            for e in range(2):
-                amp[i, e] = (terms * w[:, e]).cumsum()[-1]
-        fields.append(amp)
-    return fields[0] + fields[1]
-
-
-def allowed_weights(config, behavior):
-    """(N, 2) 0/1 weights: wall cell i' reaches screen state e under ``behavior``."""
-    n = config.n_positions
-    return np.array([[sum(is_allowed(behavior, n, i_prime, e_prime, e) for e_prime in (1, 2))
-                      for e in (1, 2)] for i_prime in range(1, n + 1)], dtype=float)
-
-
 def routed_states(config, behavior, field):
     """(N, 2) screen-state amplitudes built from ``reference.is_allowed``, not from the
     package's ``screen_state``:
     column e-1 adds the field's slit sums whose cells reach screen state e."""
     n = config.n_positions
-    weights = allowed_weights(config, behavior)
+    weights = allowed_weights(behavior, n)
     halves = (weights[:n // 2], weights[n // 2:])
     # The per-cell 0/1 weights are constant over each slit half, so the
     # masked sum of a half is that half's slit sum times its weight row.
@@ -163,14 +131,20 @@ class TestAccumulate:
         assert_matches_oracle(cfg, np.arange(n))
 
     # Every screen point against the long-double reference, at the bounds of the 40-digit
-    # oracle: the reference window at N=250 and 2000 in both geometries, and +-1 m at N=2000,
-    # where the Taylor basis has 38 blocks.
+    # oracle: the reference window at N=16, 250 and 2000 in both geometries, +-1 m at
+    # N=2000, where the Taylor basis has 38 blocks, the asymmetric [-0.1, 0.2] m window at
+    # N=2050 and +-30 m, the exact basis, at N=16 and 2000.
     @EXTENDED_LONG_DOUBLE
     @pytest.mark.parametrize("kwargs", [
         {"n_positions": 250}, {"n_positions": 2000},
         {"n_positions": 250, "geometry_mode": ds.GeometryMode.PAPER_LITERAL},
         {"n_positions": 2000, "geometry_mode": ds.GeometryMode.PAPER_LITERAL},
         {"n_positions": 2000, "screen_min": -1, "screen_max": 1},
+        {"n_positions": 16},
+        {"n_positions": 16, "geometry_mode": ds.GeometryMode.PAPER_LITERAL},
+        {"n_positions": 2050, "screen_min": -0.1, "screen_max": 0.2},
+        {"n_positions": 2000, "screen_min": -30, "screen_max": 30},
+        {"n_positions": 16, "screen_min": -30, "screen_max": 30},
     ])
     def test_whole_profile_matches_long_double_reference(self, kwargs):
         cfg = ds.ExperimentConfig(**kwargs)
@@ -178,16 +152,20 @@ class TestAccumulate:
         assert_matches_oracle(cfg, np.arange(cfg.n_positions), tol, long_double_oracle)
 
     @EXTENDED_LONG_DOUBLE
-    @pytest.mark.parametrize("kwargs", [
-        {"n_positions": 250},
-        {"n_positions": 2000, "geometry_mode": ds.GeometryMode.PAPER_LITERAL},
-        {"n_positions": 2000, "screen_min": -1, "screen_max": 1},
-    ])
-    def test_long_double_reference_matches_the_40_digit_oracle(self, kwargs):
+    @pytest.mark.parametrize("kwargs, tol", [
+        ({"n_positions": 250}, 1e-17),
+        ({"n_positions": 2000, "geometry_mode": ds.GeometryMode.PAPER_LITERAL}, 1e-17),
+        ({"n_positions": 2000, "screen_min": -1, "screen_max": 1}, 1e-17),
+        # None: P*2^-64, the reference's own rounding of its largest phase P, which is above
+        # 1e-17 here (P = 5858 rad, 3.2e-16); the reference measured 1.7e-16 of the peak.
+        ({"n_positions": 2000, "screen_min": -30, "screen_max": 30}, None),
+    ], ids=["n250", "paper-2000", "1m-2000", "30m-2000"])
+    def test_long_double_reference_matches_the_40_digit_oracle(self, kwargs, tol):
         cfg = ds.ExperimentConfig(**kwargs)
         samples = np.linspace(0, cfg.n_positions - 1, 12).astype(int)
+        tol = tol or largest_phase(cfg) * 2.0 ** -64
         for ours, oracle in zip(long_double_oracle(cfg, samples), oracle_densities(cfg, samples)):
-            assert np.abs(ours.astype(float) - oracle).max() <= 1e-17 * oracle.max()
+            assert np.abs(ours.astype(float) - oracle).max() <= tol * oracle.max()
 
     @pytest.mark.parametrize("geometry", list(ds.GeometryMode))
     def test_sampled_points_match_oracle_at_n2000(self, geometry):
@@ -261,11 +239,13 @@ class TestAccumulate:
         assert serial.lower.tobytes() == threaded.lower.tobytes()
 
     @pytest.mark.parametrize("threads", [1, 3])
-    @pytest.mark.parametrize("n", [16, 250])
+    @pytest.mark.parametrize("n", [4, 16, 250])
+    @pytest.mark.parametrize("window", [(-0.15, 0.15), (-0.1, 0.2)])
     @pytest.mark.parametrize("geometry", list(ds.GeometryMode))
     @pytest.mark.parametrize("behavior", list(QubitBehavior))
-    def test_routed_sums_match_masked_rows_exactly(self, behavior, geometry, n, threads):
-        cfg = ds.ExperimentConfig(n_positions=n, geometry_mode=geometry)
+    def test_routed_sums_match_masked_rows_exactly(self, behavior, geometry, window, n, threads):
+        cfg = ds.ExperimentConfig(n_positions=n, geometry_mode=geometry,
+                                  screen_min=window[0], screen_max=window[1])
         field = _field(cfg, behavior, threads=threads)
         none = _field(cfg, QubitBehavior.NONE)
         assert field.lower.tobytes() == none.lower.tobytes()
@@ -274,9 +254,14 @@ class TestAccumulate:
         # is_allowed weights build from the same two sums.
         density = ds.intensity(field).density
         assert density.tobytes() == state_density(routed_states(cfg, behavior, field)).tobytes()
-        # Cross-check against the full-kernel masked rows, in density.
-        old = state_density(masked_row_reference(cfg, behavior))
-        assert np.abs(density - old).max() <= MASKED_ROW_TOL[n] * old.max()
+        # The density of the masked composite matrix itself, at every point, within the
+        # oracle bounds.
+        grids = ds.build_grids(cfg, ds.derive(cfg))
+        masked = masked_matrix_density(cfg, behavior, grids.slit_positions,
+                                       grids.screen_positions)
+        tol = max(ORACLE_TOL, largest_phase(cfg) * 2.0 ** -53)
+        err = np.abs(density - masked).max() / masked.max()
+        assert err <= tol, f"{err:.3e} of the peak"
 
     @pytest.mark.parametrize("kwargs, halves", [
         ({}, 1),                                                # mirror-image grids

@@ -11,7 +11,8 @@ import pytest
 import doubleslit as ds
 from doubleslit.physics import GeometryMode
 from doubleslit.qubit import QubitBehavior
-from doubleslit.reporting import CSV_HEADER, _csv_tables, _digits, _svg_rows
+from doubleslit.reporting import (CSV_HEADER, _CHUNK_ROWS, _csv_tables, _digits, _svg_rows,
+                                  _text_chunks)
 from reference import points_2f, profile_csv_rows, svg_points
 
 
@@ -283,6 +284,17 @@ def _halves():
     return np.concatenate((values, np.nextafter(values, 0), np.nextafter(values, np.inf)))
 
 
+def _density_at(target):
+    """The density whose plot y is ``target`` when the density peak is 1 (y = 530 - density
+    * 480), found by stepping one ulp at a time, or None where no float64 lands on it."""
+    y = (530 - target) / 480
+    for _ in range(64):
+        if 530 - y * 480 == target:
+            return y
+        y = np.nextafter(y, -np.inf if 530 - y * 480 < target else np.inf)
+    return None
+
+
 def _plot(positions, density):
     return ds.IntensityProfile(positions=np.asarray(positions, dtype=float),
                                density=np.asarray(density, dtype=float),
@@ -299,7 +311,8 @@ class TestNumpySvgFormatter:
     ], ids=["random", "k-over-160", "ties-bounds-outside", "halves"])
     def test_matches_percent_f(self, values):
         xs, ys = values, values[::-1]
-        assert _svg_rows(xs, ys) == (points_2f(xs, ys) + " ").encode("ascii")
+        text = b"".join(_text_chunks(xs, ys, _svg_rows, b" "))
+        assert text == (points_2f(xs, ys) + " ").encode("ascii")
 
     def test_random_plot(self):
         # Positions in [-90/840, 910/840) with x_lo = 0 and x_hi = 1 put x in [0, 1000).
@@ -311,20 +324,24 @@ class TestNumpySvgFormatter:
         assert f'points="{svg_points(positions, density)}"/>' in svg
 
     def test_ties_on_the_plot(self):
-        # With a density peak of 1 the plot's y is 530 - y * 480: step each y one ulp at a
-        # time until it lands on its target.  Below 90, only the ties themselves lie on the
-        # plot's grid, not their neighbours.
+        # Below 90, only the ties themselves lie on the plot's grid, not their neighbours.
         targets = _ties_and_bounds()
-        density = [1.0]
-        for target in targets:
-            y = (530 - target) / 480
-            for _ in range(64):
-                if 530 - y * 480 == target:
-                    density.append(y)
-                    break
-                y = np.nextafter(y, -np.inf if 530 - y * 480 < target else np.inf)
+        density = [1.0] + [y for y in map(_density_at, targets) if y is not None]
         assert len(density) == 1 + np.count_nonzero((targets > 90) | (targets % 0.125 == 0))
         positions = np.linspace(0.0, 1.0, len(density))
+        expected = svg_points(positions, density)
+        assert f'points="{expected}"/>' in ds.profile_svg(_plot(positions, density))
+
+    @pytest.mark.parametrize("n", [2, 16, 255, 1023, 1024, 1025, 2049])
+    def test_sizes_around_the_chunk(self, n):
+        # Densities on the "%.2f" ties and bounds that a plot of peak 1 reaches, and the
+        # exact tie 998.875, which "%.2f" writes itself, on both sides of every chunk edge.
+        ties = [y for y in map(_density_at, _ties_and_bounds()) if y is not None and y <= 1]
+        density = np.resize(ties, n)
+        density[0] = 1.0
+        for edge in range(_CHUNK_ROWS, n, _CHUNK_ROWS):
+            density[edge - 1:edge + 1] = _density_at(998.875)
+        positions = np.linspace(0.0, 1.0, n)
         expected = svg_points(positions, density)
         assert f'points="{expected}"/>' in ds.profile_svg(_plot(positions, density))
 
