@@ -153,8 +153,7 @@ def run(request: RunRequest) -> int:
                 print(f"validation failed: {', '.join(failed)}", file=sys.stderr)
                 return 2
         return 0
-    except (ConfigError, SimulationError, AnalysisError, OSError, ValueError,
-            MemoryError) as exc:
+    except (SimulationError, AnalysisError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -8,7 +8,7 @@ class ConfigError(ValueError):
 
 
 class SimulationError(RuntimeError):
-    """A computation produced values that cannot be trusted (non-finite, negative density)."""
+    """A computation produced values that cannot be trusted (a non-finite amplitude or density)."""
 
 
 class AnalysisError(RuntimeError):

@@ -14,16 +14,16 @@ expanded in a Taylor series, and each block's factor is the middle block's times
 power of one step factor: a slit half costs N + B + R complex exps and about
 B*(N/2)*TERMS multiply-adds, B = N/R, in place of N^2/2 (Candes, Demanet & Ying, *A
 fast butterfly algorithm for the computation of Fourier integral operators*, 2009,
-for why an oscillatory kernel is low rank on such blocks).  On wide
-windows, where R would be small, the term comes from an exact step table and the
-half costs N^2/2 multiply-adds, as chunked complex matrix products.  On
-mirror-image grids (the corrected geometry on a window symmetric about 0)
-S_lower(x) = S_upper(-x), so only the upper slit is summed.  An
-:class:`AmplitudeField` carries the two (N,) sums and a behavior label;
-:func:`intensity` routes each whole sum into one screen qubit state e
-(:func:`doubleslit.qubit.screen_state`), so :func:`simulate_all` serves every
-behavior from one :func:`accumulate` by relabelling the field.  ``accumulate``'s
-``threads`` is accepted and ignored; the matrix products run on BLAS's own threads.
+for why an oscillatory kernel is low rank on such blocks).  On wide windows, where R would
+be small, the term comes from an exact step table and the half costs N^2/2 multiply-adds,
+as chunked complex matrix products.  One builder picks the basis; both bases share its
+chunk loop and centre phases.  On mirror-image grids (the corrected geometry on a window
+symmetric about 0) S_lower(x) = S_upper(-x), so only the upper slit is summed.  An
+:class:`AmplitudeField` carries the two (N,) sums and a behavior label; :func:`intensity`
+routes each whole sum into one screen qubit state e (:func:`doubleslit.qubit.screen_state`)
+and refuses a non-finite density, so :func:`simulate_all` serves every behavior from one
+:func:`accumulate` by relabelling the field.  ``accumulate``'s ``threads`` is accepted and
+ignored; the matrix products run on BLAS's own threads.
 """
 
 from __future__ import annotations
@@ -80,23 +80,6 @@ class IntensityProfile:
     config: ExperimentConfig
 
 
-def _half_sums(h: np.ndarray, c: float, blocks: np.ndarray, rho: np.ndarray,
-               chunk_sum, expand) -> np.ndarray:
-    """sum_k amp * exp(i*c*(h[k]^2 - 2*x*h[k])) at x = blocks[b] + rho[r], shape (B, R), for
-    the slit half h[k] = centre + u[k]: chunk_sum(u_s, h_s) sums each chunk of CHUNK slit
-    points with its amplitude amp, in ascending order, without the centre's phase; their
-    total, times ``expand`` unless that is None, is multiplied by exp(-2i*c*blocks*centre)
-    and exp(-2i*c*rho*centre), which carry the largest phases."""
-    centre = 0.5 * (h[0] + h[-1])
-    out = 0
-    for s in range(0, h.size, CHUNK):
-        out += chunk_sum(h[s:s + CHUNK] - centre, h[s:s + CHUNK])
-    if expand is not None:
-        out = out @ expand
-    return (np.exp(1j * (-2.0 * c * centre * blocks))[:, None] * out
-            * np.exp(1j * (-2.0 * c * centre * rho)))
-
-
 def _powers(y: np.ndarray) -> np.ndarray:
     """y**m for m = 0 .. TERMS-1, shape (TERMS, y.size)."""
     p = np.empty((TERMS, y.size))
@@ -106,11 +89,12 @@ def _powers(y: np.ndarray) -> np.ndarray:
     return p
 
 
-def _screen_basis(n: int, c: float, derived: DerivedQuantities, screen: np.ndarray, amp: complex):
-    """(blocks, rho, chunk_sum, expand) for :func:`_half_sums`: screen point j = b*R + r is
-    at blocks[b] + rho[r], and chunk_sum(u, h) is sum_k amp * exp(i*c*(h[k]^2 - 2*x*u[k]))
-    over a chunk of slit points h, offsets u, as a (B, R) array or as (B, TERMS) moments
-    that ``expand`` (TERMS, R) turns into one.
+def _build_slit_sum(n: int, c: float, derived: DerivedQuantities, screen: np.ndarray, amp: complex):
+    """The function that takes a slit half h[k] = centre + u[k] to its (N,) sums
+    sum_k amp * exp(i*c*(h[k]^2 - 2*x*h[k])) at screen point j = b*R + r, x = blocks[b] + rho[r].
+    It adds chunk_sum(u, h) over chunks of CHUNK slit points in ascending order, each a (B, R)
+    array or (B, TERMS) moments that ``expand`` (TERMS, R) turns into one, and multiplies the
+    total by exp(-2i*c*blocks*centre) and exp(-2i*c*rho*centre), the largest phases.
 
     In a block of R screen points |2c*rho*u| <= (R - 1)*c*a_h*delta_screen, a_h the largest
     |u|.  R is the largest block that keeps this within THETA.  Where R > TERMS the Taylor
@@ -135,8 +119,9 @@ def _screen_basis(n: int, c: float, derived: DerivedQuantities, screen: np.ndarr
         theta = span * (stride - 1)
         coeff = np.cumprod(np.concatenate(([1.0], -1j * theta / np.arange(1, TERMS))))
         mid, step = blocks.size // 2, stride * derived.delta_screen
+        expand = coeff[:, None] * _powers(rho / rho[-1])
 
-        def moments(u, h):
+        def chunk_sum(u, h):
             t = np.empty((blocks.size, u.size), complex)
             t[mid] = amp * np.exp(1j * (c * (h * h) - 2.0 * c * blocks[mid] * u))
             w = np.exp(1j * (-2.0 * c * step * u)) if blocks.size > 1 else None
@@ -145,39 +130,38 @@ def _screen_basis(n: int, c: float, derived: DerivedQuantities, screen: np.ndarr
             for b in range(mid - 1, -1, -1):
                 np.multiply(t[b + 1], w.conj(), out=t[b])
             return t @ _powers(u / a_h).T
+    else:
+        width = min(CHUNK, n // 2)
+        offsets = (np.arange(width) - (width - 1) / 2) * derived.delta_slit
+        f = np.exp(1j * (-2.0 * c * np.multiply.outer(blocks, offsets)))
+        g = np.exp(1j * (-2.0 * c * np.multiply.outer(offsets, rho)))
+        expand = None
 
-        return blocks, rho, moments, coeff[:, None] * _powers(rho / rho[-1])
-    width = min(CHUNK, n // 2)
-    offsets = (np.arange(width) - (width - 1) / 2) * derived.delta_slit
-    f = np.exp(1j * (-2.0 * c * np.multiply.outer(blocks, offsets)))
-    g = np.exp(1j * (-2.0 * c * np.multiply.outer(offsets, rho)))
+        def chunk_sum(u, h):
+            mid = u[0] - offsets[0]
+            v = np.exp(1j * (-2.0 * c * mid * blocks))
+            e = np.exp(1j * (-2.0 * c * mid * rho))
+            q = amp * np.exp(1j * (c * (h * h)))
+            return v[:, None] * ((f[:, :q.size] * q) @ g[:q.size]) * e
 
-    def sums(u, h):
-        mid = u[0] - offsets[0]
-        v = np.exp(1j * (-2.0 * c * mid * blocks))
-        e = np.exp(1j * (-2.0 * c * mid * rho))
-        q = amp * np.exp(1j * (c * (h * h)))
-        return v[:, None] * ((f[:, :q.size] * q) @ g[:q.size]) * e
+    def slit_sum(h):
+        centre = 0.5 * (h[0] + h[-1])
+        out = 0
+        for s in range(0, h.size, CHUNK):
+            out += chunk_sum(h[s:s + CHUNK] - centre, h[s:s + CHUNK])
+        if expand is not None:
+            out = out @ expand
+        return (np.exp(1j * (-2.0 * c * centre * blocks))[:, None] * out
+                * np.exp(1j * (-2.0 * c * centre * rho))).ravel()[:n]
 
-    return blocks, rho, sums, None
-
-
-def _check_own_inputs(config: ExperimentConfig, derived: DerivedQuantities,
-                      grids: Grids) -> None:
-    """``ValueError`` unless ``derived`` and ``grids`` are those of ``config``."""
-    own = derive(config)
-    own_grids = build_grids(config, own)
-    if not (derived == own and np.array_equal(grids.screen_positions, own_grids.screen_positions)
-            and np.array_equal(grids.slit_positions, own_grids.slit_positions)):
-        raise ValueError("derived quantities or grids are not those of config: accumulate "
-                         "takes derive(config) and build_grids(config, derive(config))")
+    return slit_sum
 
 
 def accumulate(config: ExperimentConfig, derived: DerivedQuantities, grids: Grids,
                behavior: QubitBehavior, *, threads: int = 1) -> AmplitudeField:
     """(S_lower, S_upper): A * slit_amplitude * sum over each slit of exp(i*c*(x'^2 - 2*x*x'))
     at every screen position x, as an amplitude field for ``behavior``; ``threads`` is
-    ignored.  The screen basis (:func:`_screen_basis`) is the Taylor one where its blocks
+    ignored.  The screen basis (:func:`_build_slit_sum`) is the Taylor one where its blocks
     hold more than TERMS points and the exact step table otherwise.  If the lower slit is
     the negated reverse of the upper slit and the screen grid its own negated reverse,
     S_lower is S_upper reversed and only the upper half is summed; otherwise both halves
@@ -185,7 +169,12 @@ def accumulate(config: ExperimentConfig, derived: DerivedQuantities, grids: Grid
     and both grid arrays equal those of ``build_grids(config, derived)``;
     :class:`SimulationError` if the largest engine phase P = c*max|x'|*(2*max|x| + max|x'|)
     is not finite or exceeds ``PHASE_LIMIT``."""
-    _check_own_inputs(config, derived, grids)
+    own = derive(config)
+    own_grids = build_grids(config, own)
+    if not (derived == own and np.array_equal(grids.screen_positions, own_grids.screen_positions)
+            and np.array_equal(grids.slit_positions, own_grids.slit_positions)):
+        raise ValueError("derived quantities or grids are not those of config: accumulate "
+                         "takes derive(config) and build_grids(config, derive(config))")
     n, c = config.n_positions, derived.phase_scale
     with np.errstate(over="ignore", invalid="ignore"):
         x_max, xp_max = np.abs(grids.screen_positions).max(), np.abs(grids.slit_positions).max()
@@ -194,11 +183,7 @@ def accumulate(config: ExperimentConfig, derived: DerivedQuantities, grids: Grid
         raise SimulationError(f"largest engine phase {phase:.3e} rad exceeds {PHASE_LIMIT:.3e} "
                               f"rad, beyond which float64 rounds it by more than 1e-6 rad")
     amp = kernel_prefactor(config, derived) * derived.slit_amplitude
-    blocks, rho, chunk_sum, expand = _screen_basis(n, c, derived, grids.screen_positions, amp)
-
-    def slit_sum(h):
-        return _half_sums(h, c, blocks, rho, chunk_sum, expand).ravel()[:n]
-
+    slit_sum = _build_slit_sum(n, c, derived, grids.screen_positions, amp)
     upper, screen = slit_sum(grids.upper_slit), grids.screen_positions
     mirrored = (np.array_equal(grids.lower_slit, -grids.upper_slit[::-1])
                 and np.array_equal(screen, -screen[::-1]))
@@ -212,21 +197,23 @@ def intensity(field: AmplitudeField) -> IntensityProfile:
 
     Slit sums routed to the same screen qubit state add coherently; the two
     screen qubit states are exclusive and their probabilities add.  Raises
-    :class:`SimulationError` naming the first screen index (1-based) and qubit
-    state whose amplitude is not finite.
+    :class:`SimulationError` naming the first screen index (1-based) with a non-finite
+    density and the lowest qubit state whose amplitude, or its square, is not finite
+    there, or the lowest state if only their sum is not.
     """
     states: dict[int, np.ndarray] = {}      # screen qubit state e -> its amplitude
     for half, total in (("lower", field.lower), ("upper", field.upper)):
         e = screen_state(field.behavior, half)
         states[e] = states.get(e, 0) + total
-    finite = {e: np.isfinite(amplitude) for e, amplitude in states.items()}
-    if not all(ok.all() for ok in finite.values()):
-        i, e = min((int(np.argmin(ok)), e) for e, ok in finite.items() if not ok.all())
-        raise SimulationError(f"non-finite amplitude at screen index {i + 1}, qubit state {e}")
-    density = sum(amplitude.real ** 2 + amplitude.imag ** 2 for amplitude in states.values())
-    if (density < 0).any():
-        # unreachable for a modulus-squared construction; signals an arithmetic fault
-        raise SimulationError("negative probability density")
+    with np.errstate(over="ignore"):
+        density = sum(amplitude.real ** 2 + amplitude.imag ** 2 for amplitude in states.values())
+        finite = np.isfinite(density)
+        if not finite.all():
+            i = int(finite.argmin())
+            square = {e: a[i].real ** 2 + a[i].imag ** 2 for e, a in states.items()}
+            e = min((e for e, s in square.items() if not np.isfinite(s)), default=min(states))
+            kind = "density" if np.isfinite(states[e][i]) else "amplitude"
+            raise SimulationError(f"non-finite {kind} at screen index {i + 1}, qubit state {e}")
     return IntensityProfile(positions=field.positions, density=density,
                             behavior=field.behavior, config=field.config)
 

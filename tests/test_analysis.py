@@ -234,6 +234,37 @@ class TestValidate:
         with pytest.raises(ValueError, match="screen grid"):
             ds.validate(profiles, config)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_density_rejected(self, profiles_250, config_250, bad):
+        # a NaN would reach total_probability and the JSON report as the invalid token NaN
+        forgets = profiles_250[QubitBehavior.FORGETS]
+        density = forgets.density.copy()
+        density[[7, 9]] = bad
+        profiles = {**profiles_250, QubitBehavior.FORGETS: replace(forgets, density=density)}
+        with pytest.raises(ValueError, match=r"'forgets' has a non-finite density at "
+                                             r"screen index 8$"):
+            ds.validate(profiles, config_250)
+
+    @pytest.mark.parametrize("geometry", list(ds.GeometryMode))
+    def test_pass_is_the_interval_rule(self, geometry):
+        # Every check, including normalization_pairwise and the 0/1 interference flags,
+        # passes exactly when it was measured and lies within its tolerance, and the
+        # serialized "pass" is that flag.  The pairwise check passes iff the spread is
+        # within its tolerance, and an interference check iff detection is as expected.
+        cfg = ds.ExperimentConfig(geometry_mode=geometry)
+        report = ds.validate(ds.simulate_all(cfg), cfg)
+        tree = report.to_dict()
+        assert [c["pass"] for c in tree["checks"]] == [c.passed for c in report.checks]
+        for c in report.checks:
+            rule = c.measured is not None and abs(c.measured - c.expected) <= c.tolerance
+            assert c.passed == rule, c.name
+        checks = {c.name: c for c in report.checks}
+        pairwise = checks["normalization_pairwise"]
+        assert pairwise.passed == (pairwise.measured <= pairwise.tolerance)
+        for b, expected in (("none", True), ("forgets", True), ("remembers", False)):
+            assert checks[f"interference_{b}"].passed == (report.interference[b] == expected)
+        assert report.passed == all(c["pass"] for c in tree["checks"])
+
     def test_mislabeled_profile_rejected(self, profiles_250, config_250):
         shuffled = dict(profiles_250)
         shuffled[QubitBehavior.NONE] = profiles_250[QubitBehavior.REMEMBERS]

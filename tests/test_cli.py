@@ -402,3 +402,36 @@ sizes()
         result = _fresh_python(code, tmp_path)
         assert result.returncode == 0, result.stderr
         assert result.stdout == "0 0 0\n1 1 1\n"
+
+
+SNAPSHOT = Path(__file__).with_name("cli_snapshot.py")
+
+
+def _files(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_cli_snapshot_is_identical_across_processes(tmp_path):
+    # Two snapshots, each run by fresh processes, hold the same files with the same bytes:
+    # CSV, SVG, masks, JSON and text reports, stdout, stderr and --check's exit 2.
+    src = str(Path(ds.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    snapshots = []
+    for side in ("first", "second"):
+        result = subprocess.run([sys.executable, str(SNAPSHOT), str(tmp_path / side)],
+                                env=env, capture_output=True, text=True, timeout=600)
+        assert result.returncode == 0, result.stderr
+        snapshots.append(_files(tmp_path / side))
+    first, second = snapshots
+    assert sorted(first) == sorted(second)
+    assert [name for name in first if first[name] != second[name]] == []
+    codes = {name.split("/")[0]: data for name, data in first.items()
+             if name.endswith("/exit_code")}
+    assert codes == {run: b"2\n" if run == "check-16" else b"0\n"
+                     for run in ("ref-all", "large-none", "paper-250", "check-16",
+                                 "wide-2000", "asymmetric-2050")}
+    for name in ("ref-all/p_remembers.csv", "ref-all/report.json", "ref-all/masks/mask_none.txt",
+                 "check-16/report.txt", "wide-2000/p_forgets.svg", "asymmetric-2050/stdout"):
+        assert first[name], name
+    assert first["check-16/stderr"].startswith(b"validation failed: ")

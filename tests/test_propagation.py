@@ -273,13 +273,13 @@ class TestAccumulate:
     ])
     def test_one_engine_pass_for_all_behaviors(self, monkeypatch, kwargs, halves):
         calls = []
-        half_sums = propagation._half_sums
+        build = propagation._build_slit_sum
 
-        def counting_half_sums(*args):
-            calls.append(1)
-            return half_sums(*args)
+        def counting_build(*args):
+            slit_sum = build(*args)
+            return lambda h: calls.append(1) or slit_sum(h)
 
-        monkeypatch.setattr(propagation, "_half_sums", counting_half_sums)
+        monkeypatch.setattr(propagation, "_build_slit_sum", counting_build)
         cfg = ds.ExperimentConfig(**{"n_positions": 16, **kwargs})
         ds.simulate_all(cfg, behaviors=tuple(QubitBehavior))
         # one pass: one matrix product per slit half, or for the upper half alone when
@@ -314,7 +314,7 @@ class TestAccumulate:
             assert profiles[b].density.tobytes() == own.density.tobytes()
 
     def test_no_behaviors_no_pass(self, config_250, monkeypatch):
-        monkeypatch.setattr(propagation, "_half_sums", None)
+        monkeypatch.setattr(propagation, "_build_slit_sum", None)
         assert ds.simulate_all(config_250, behaviors=()) == {}
 
     # bench/ times the engine by wrapping the name propagation.accumulate, so simulate_all
@@ -523,6 +523,34 @@ class TestAccumulate:
             ds.intensity(replace(field, lower=lower, upper=upper))
         with pytest.raises(SimulationError, match=r"screen index 5, qubit state 2"):
             ds.intensity(replace(field, lower=lower))
+
+    def test_overflowing_density_names_the_cell(self, config_250):
+        # Finite amplitudes whose squares overflow: a hand-built field, since accumulate's
+        # phase limit keeps |S|^2 far below the float64 range.  numpy must not warn either.
+        n = config_250.n_positions
+        zeros = np.zeros(n, complex)
+        field = ds.AmplitudeField(lower=zeros, upper=zeros, behavior=QubitBehavior.REMEMBERS,
+                                  positions=np.linspace(-0.15, 0.15, n), config=config_250)
+        lower, upper = zeros.copy(), zeros.copy()
+        lower[2] = upper[6] = 1e200
+        with pytest.raises(SimulationError, match=r"^non-finite density at screen index 3, "
+                                                  r"qubit state 2$"):
+            ds.intensity(replace(field, lower=lower, upper=upper))
+        with pytest.raises(SimulationError, match=r"density at screen index 7, qubit state 1$"):
+            ds.intensity(replace(field, upper=upper))
+        # none routes the lower half to state 1
+        with pytest.raises(SimulationError, match=r"density at screen index 3, qubit state 1$"):
+            ds.intensity(replace(field, lower=lower, behavior=QubitBehavior.NONE))
+        # each state's square is finite (1e308), only their sum overflows
+        both = zeros.copy()
+        both[4] = 1e154
+        with pytest.raises(SimulationError, match=r"density at screen index 5, qubit state 1$"):
+            ds.intensity(replace(field, lower=both, upper=both))
+        # an amplitude that is itself not finite keeps its own wording
+        lower[2] = np.inf
+        with pytest.raises(SimulationError, match=r"^non-finite amplitude at screen index 3, "
+                                                  r"qubit state 2$"):
+            ds.intensity(replace(field, lower=lower, upper=upper))
 
 
 class TestIntensity:
