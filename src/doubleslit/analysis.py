@@ -8,6 +8,7 @@ on simulated profiles and compares them at fixed tolerances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from typing import Mapping, Optional, Sequence
 
@@ -17,7 +18,7 @@ from . import physics
 from .errors import AnalysisError
 from .physics import ExperimentConfig, derive
 from .propagation import IntensityProfile
-from .qubit import QubitBehavior
+from .qubit import QubitBehavior, screen_state
 
 __all__ = [
     "AnalyticPredictions",
@@ -182,16 +183,25 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Measured features, predicted values, and pass/fail flags per check."""
+    """A config and its checks; the totals, fringe flags and features the report prints
+    are read from the checks."""
 
     config: ExperimentConfig
-    totals: dict[str, float]                 # behavior name -> total probability
-    interference: dict[str, bool]            # behavior name -> fringes detected
     checks: tuple[CheckResult, ...]
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
+
+    @property
+    def totals(self) -> dict[str, float]:
+        """behavior name -> total probability, measured by check ``normalization_<b>``."""
+        return self.to_dict()["totals"]
+
+    @property
+    def interference(self) -> dict[str, bool]:
+        """behavior name -> fringes detected, measured by check ``interference_<b>``."""
+        return self.to_dict()["interference"]
 
     def to_dict(self) -> dict:
         config = {f.name: getattr(self.config, f.name) for f in fields(self.config)}
@@ -199,8 +209,10 @@ class ValidationReport:
         checks = {c.name: c for c in self.checks}
         return {
             "config": config,
-            "totals": dict(self.totals),
-            "interference": dict(self.interference),
+            "totals": {b.value: checks[f"normalization_{b.value}"].measured
+                       for b in QubitBehavior},
+            "interference": {b.value: bool(checks[f"interference_{b.value}"].measured)
+                             for b in QubitBehavior},
             "measured": {f: checks[name].measured for f, name in _FEATURE_CHECKS.items()},
             "expected": {f: checks[name].expected for f, name in _FEATURE_CHECKS.items()},
             "checks": [
@@ -218,33 +230,21 @@ class ValidationReport:
         }
 
     def to_text(self) -> str:
-        """Flat serialization, one ``key = value`` per line."""
+        """:meth:`to_dict`'s tree flattened, one ``key = value`` per line."""
         def fmt(v) -> str:
             if isinstance(v, bool):
                 return "true" if v else "false"
-            if v is None:
-                return "nan"
-            if isinstance(v, float):
-                return repr(v)
-            return str(v)
+            return "nan" if v is None else str(v)      # a float's str is its repr
 
         tree = self.to_dict()
-        lines = []
-        for key, value in tree["config"].items():
-            lines.append(f"config_{key} = {fmt(value)}")
-        for name, value in self.totals.items():
-            lines.append(f"total_probability_{name} = {fmt(value)}")
-        for name, value in self.interference.items():
-            lines.append(f"interference_detected_{name} = {fmt(value)}")
-        for feature in _FEATURE_CHECKS:
-            lines.append(f"{feature}_measured = {fmt(tree['measured'][feature])}")
-            lines.append(f"{feature}_expected = {fmt(tree['expected'][feature])}")
-        for c in self.checks:
-            lines.append(f"check_{c.name}_measured = {fmt(c.measured)}")
-            lines.append(f"check_{c.name}_expected = {fmt(c.expected)}")
-            lines.append(f"check_{c.name}_tolerance = {fmt(c.tolerance)}")
-            lines.append(f"check_{c.name}_pass = {fmt(c.passed)}")
-        lines.append(f"passed = {fmt(self.passed)}")
+        lines = [f"config_{k} = {fmt(v)}" for k, v in tree["config"].items()]
+        lines += [f"total_probability_{k} = {fmt(v)}" for k, v in tree["totals"].items()]
+        lines += [f"interference_detected_{k} = {fmt(v)}" for k, v in tree["interference"].items()]
+        lines += [f"{f}_{kind} = {fmt(tree[kind][f])}"
+                  for f in _FEATURE_CHECKS for kind in ("measured", "expected")]
+        lines += [f"check_{c['name']}_{key} = {fmt(c[key])}"
+                  for c in tree["checks"] for key in ("measured", "expected", "tolerance", "pass")]
+        lines.append(f"passed = {fmt(tree['passed'])}")
         return "\n".join(lines) + "\n"
 
 
@@ -254,7 +254,9 @@ def validate(profiles: Mapping[QubitBehavior, IntensityProfile],
 
     Requires one profile per behavior, all computed with ``config``, each on the
     screen positions of ``build_grids(config, derive(config))`` with a finite density
-    of the same shape; raises ``ValueError`` naming the first one that is not.
+    of the same shape; raises ``ValueError`` naming the first one that is not, and then
+    the first check whose measured value is not finite (a total or spread that overflows).
+    ``interference_<b>`` expects fringes when both slit halves reach one ``screen_state``.
     """
     derived = derive(config)
     screen = physics.build_grids(config, derived).screen_positions
@@ -275,9 +277,7 @@ def validate(profiles: Mapping[QubitBehavior, IntensityProfile],
                              f"screen index {int(np.argmin(finite)) + 1}")
 
     preds = analytic_predictions(config)
-    delta_screen = derived.delta_screen
 
-    totals = {b.value: total_probability(profiles[b]) for b in QubitBehavior}
     # The profiles share the screen positions checked above, so equal densities have
     # equal peaks: none and forgets, one density by construction, share one search.
     peaks, by_density = {}, {}      # by_density: a density's (dtype, bytes) -> its peaks
@@ -287,59 +287,47 @@ def validate(profiles: Mapping[QubitBehavior, IntensityProfile],
         if key not in by_density:
             by_density[key] = find_peaks(profiles[b])
         peaks[b] = by_density[key]
-    in_lobe = {
-        b: [x for x, _ in peaks[b] if abs(x) <= preds.first_minimum]
-        for b in QubitBehavior
-    }
-    interference = {b.value: len(in_lobe[b]) >= INTERFERENCE_MIN_PEAKS for b in QubitBehavior}
 
-    fringe = fringe_spacing(peaks[QubitBehavior.NONE], preds.first_minimum)
+    with np.errstate(over="ignore"):        # an overflowing total is named below
+        checks = [CheckResult(f"normalization_{b.value}", total_probability(profiles[b]),
+                              NORMALIZATION_TARGET, NORMALIZATION_TOL) for b in QubitBehavior]
+    totals = [c.measured for c in checks]
+    spread = (max(totals) - min(totals)) / (max(map(abs, totals)) or 1.0)
+    checks.append(CheckResult("normalization_pairwise", spread, 0.0, BEHAVIOR_AGREEMENT_RTOL,
+                              note="max relative spread of total probability across behaviors"))
+    checks.append(CheckResult("fringe_spacing",
+                              fringe_spacing(peaks[QubitBehavior.NONE], preds.first_minimum),
+                              preds.fringe_spacing, FRINGE_SPACING_RTOL * preds.fringe_spacing))
 
     # Each side s = +1 (positive) or -1 (negative) reads the remembers profile outward
     # from the center; both sides are None if either side has no first minimum.
     remembers = profiles[QubitBehavior.REMEMBERS]
     sides = (("positive", 1), ("negative", -1))
     try:
-        fmin = {s: s * find_first_minimum(replace(remembers, positions=s * remembers.positions[::s],
-                                                   density=remembers.density[::s]))
-                for _, s in sides}
+        fmin = [s * find_first_minimum(replace(remembers, positions=s * remembers.positions[::s],
+                                               density=remembers.density[::s]))
+                for _, s in sides]
     except AnalysisError:
-        fmin = {s: None for _, s in sides}
-    smax = {s: None for _, s in sides}      # the nearest peak beyond each first minimum
-    for s, edge in fmin.items():
-        if edge is not None:
-            smax[s] = min((x for x, _ in peaks[QubitBehavior.REMEMBERS] if s * x > s * edge),
-                          key=lambda x: s * x, default=None)
-
-    values = list(totals.values())
-    scale = max(abs(v) for v in values) or 1.0
-    pairwise = (max(values) - min(values)) / scale
-
-    checks = [CheckResult(f"normalization_{b.value}", totals[b.value], NORMALIZATION_TARGET,
-                          NORMALIZATION_TOL) for b in QubitBehavior]
-    checks.append(CheckResult(
-        "normalization_pairwise", pairwise, 0.0, BEHAVIOR_AGREEMENT_RTOL,
-        note="max relative spread of total probability across behaviors",
-    ))
-    checks.append(CheckResult("fringe_spacing", fringe, preds.fringe_spacing,
-                              FRINGE_SPACING_RTOL * preds.fringe_spacing))
+        fmin = [None, None]
+    smax = [None if edge is None else      # the nearest peak beyond each first minimum
+            min((x for x, _ in peaks[QubitBehavior.REMEMBERS] if s * x > s * edge),
+                key=lambda x: s * x, default=None)
+            for (_, s), edge in zip(sides, fmin)]
     for feature, found, prediction, cells in (
             ("first_minimum", fmin, preds.first_minimum, FIRST_MINIMUM_TOL_CELLS),
             ("secondary_maximum", smax, preds.secondary_maximum, SECONDARY_MAXIMUM_TOL_CELLS)):
-        for side, s in sides:
-            checks.append(CheckResult(f"{feature}_{side}", found[s], s * prediction,
-                                      cells * delta_screen))
-    for b, expected_flag in ((QubitBehavior.NONE, True),
-                             (QubitBehavior.FORGETS, True),
-                             (QubitBehavior.REMEMBERS, False)):
+        for (side, s), value in zip(sides, found):
+            checks.append(CheckResult(f"{feature}_{side}", value, s * prediction,
+                                      cells * derived.delta_screen))
+    for b in (QubitBehavior.NONE, QubitBehavior.FORGETS, QubitBehavior.REMEMBERS):
+        inside = sum(abs(x) <= preds.first_minimum for x, _ in peaks[b])
         checks.append(CheckResult(
-            f"interference_{b.value}", float(interference[b.value]), float(expected_flag), 0.0,
-            note=f"{len(in_lobe[b])} peaks inside the central lobe",
+            f"interference_{b.value}", float(inside >= INTERFERENCE_MIN_PEAKS),
+            float(screen_state(b, "lower") == screen_state(b, "upper")), 0.0,
+            note=f"{inside} peaks inside the central lobe",
         ))
 
-    return ValidationReport(
-        config=config,
-        totals=totals,
-        interference=interference,
-        checks=tuple(checks),
-    )
+    for c in checks:
+        if c.measured is not None and not math.isfinite(c.measured):
+            raise ValueError(f"check {c.name!r} measured a non-finite value, {c.measured!r}")
+    return ValidationReport(config, tuple(checks))

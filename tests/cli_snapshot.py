@@ -23,7 +23,7 @@ RUNS = {
                        "--masks", "masks", "--report", "report.json"]),
     "large-none": (None, ["--n", "8000", "--qubit", "none", "--csv", "p.csv"]),
     "paper-250": (None, ["--geometry", "paper", "--n", "250", "--csv", "p.csv",
-                         "--svg", "p.svg"]),
+                         "--svg", "p.svg", "--report", "report.txt"]),
     "check-16": (None, ["--n", "16", "--csv", "p.csv", "--svg", "p.svg", "--masks", "masks",
                         "--report", "report.txt", "--check"]),
     "wide-2000": ("N = 2000\nZmin = -30\nZmax = 30\n", ["--csv", "p.csv", "--svg", "p.svg"]),

@@ -11,7 +11,7 @@ import doubleslit as ds
 from doubleslit.analysis import _maxima
 from doubleslit.errors import AnalysisError
 from doubleslit.qubit import QubitBehavior
-from reference import first_minimum
+from reference import ALLOWED_COMBOS, first_minimum
 
 
 def synthetic_profile(density, positions=None, config=None,
@@ -244,6 +244,45 @@ class TestValidate:
         with pytest.raises(ValueError, match=r"'forgets' has a non-finite density at "
                                              r"screen index 8$"):
             ds.validate(profiles, config_250)
+
+    @pytest.mark.parametrize("window, others, remembers, name", [
+        # 16 points of 1e308 sum past float64: every total is inf
+        (0.15, 1e308, 1e308, "normalization_none"),
+        # totals of +-1e308 are finite, but their spread of 2e308 is not
+        (1000, 5e304, -5e304, "normalization_pairwise"),
+    ])
+    def test_non_finite_measurement_rejected(self, window, others, remembers, name):
+        # Finite densities whose totals or spread overflow would reach the JSON report as
+        # the invalid tokens Infinity and NaN; the overflow must not warn either.
+        config = ds.ExperimentConfig(n_positions=16, screen_min=-window, screen_max=window)
+        profiles = {b: replace(p, density=np.full(16, remembers if b is QubitBehavior.REMEMBERS
+                                                  else others))
+                    for b, p in ds.simulate_all(config).items()}
+        with pytest.raises(ValueError, match=rf"^check '{name}' measured a non-finite value"):
+            ds.validate(profiles, config)
+
+    def test_totals_and_flags_are_read_from_the_checks(self, profiles_250, config_250):
+        # A report is its config and checks: an edited check moves the figures read from it.
+        report = ds.validate(profiles_250, config_250)
+        edits = {"normalization_forgets": 0.5, "interference_none": 0.0}
+        edited = ds.ValidationReport(config_250, tuple(
+            replace(c, measured=edits.get(c.name, c.measured)) for c in report.checks))
+        assert edited.totals == {**report.totals, "forgets": 0.5}
+        assert edited.interference == {**report.interference, "none": False}
+        assert "total_probability_forgets = 0.5\ninterference_detected_none = false\n" \
+            in edited.to_text()
+
+    @pytest.mark.parametrize("geometry", list(ds.GeometryMode))
+    def test_fringes_expected_where_both_halves_reach_one_state(self, geometry):
+        # The paper's rule, read from the behavioral rules of tests/reference.py and not
+        # from the package's routing: a behavior shows fringes exactly when both slit
+        # halves reach the same screen state e.
+        cfg = ds.ExperimentConfig(n_positions=250, geometry_mode=geometry)
+        checks = {c.name: c for c in ds.validate(ds.simulate_all(cfg), cfg).checks}
+        for b, combos in ALLOWED_COMBOS.items():
+            state = {half: e for half, _, e in combos}
+            assert checks[f"interference_{b.value}"].expected == float(
+                state["lower"] == state["upper"]), b
 
     @pytest.mark.parametrize("geometry", list(ds.GeometryMode))
     def test_pass_is_the_interval_rule(self, geometry):

@@ -707,3 +707,58 @@ class TestRandomConfigs:
         bound = none + 2 * np.abs(field.lower) * np.abs(field.upper)
         slack = 8 * np.finfo(float).eps * (np.abs(field.lower) + np.abs(field.upper)) ** 2
         assert np.all(profiles[QubitBehavior.REMEMBERS].density <= bound + slack)
+
+
+def assert_same_densities(ours, theirs, tol):
+    """Each behavior's densities in ``ours`` and ``theirs`` agree within ``tol`` of the peak."""
+    for b, profile in ours.items():
+        err = np.abs(profile.density - theirs[b].density).max() / profile.density.max()
+        assert err <= tol, f"{b.value}: {err:.3e} of the peak"
+
+
+class TestMetamorphicOracles:
+    """Relations between two runs that hold at every N, held to the oracle tests' bound
+    max(1e-13, P*2^-53) of the peak.  They extend the long-double reference, which these
+    tests evaluate at N up to 2050, to N = 8000 and 64000; they do not replace it, since
+    a fault that both runs share would cancel."""
+
+    BEHAVIORS = (QubitBehavior.NONE, QubitBehavior.REMEMBERS)     # forgets is none, bit for bit
+
+    @pytest.mark.parametrize("n, window", [
+        (250, {}), (2000, {}), (8000, {}), (64000, {}),
+        (2000, {"screen_min": -1, "screen_max": 1}),
+        (2000, {"screen_min": -30, "screen_max": 30}),
+    ])
+    def test_paper_geometry_is_the_corrected_one_translated(self, n, window):
+        # The paper geometry's slits, centred at -d/2 and d/2 + a, are those of the corrected
+        # geometry at separation d + a moved up by a/2, so its density on [Zmin, Zmax] is
+        # that one's on [Zmin - a/2, Zmax - a/2], point for point.
+        paper = ds.ExperimentConfig(n_positions=n, geometry_mode=ds.GeometryMode.PAPER_LITERAL,
+                                    **window)
+        a = paper.slit_width
+        moved = replace(paper, geometry_mode=ds.GeometryMode.CORRECTED,
+                        slit_separation=paper.slit_separation + a,
+                        screen_min=paper.screen_min - a / 2, screen_max=paper.screen_max - a / 2)
+        tol = max(ORACLE_TOL, largest_phase(paper) * 2.0 ** -53, largest_phase(moved) * 2.0 ** -53)
+        assert_same_densities(ds.simulate_all(paper, behaviors=self.BEHAVIORS),
+                              ds.simulate_all(moved, behaviors=self.BEHAVIORS), tol)
+
+    # At N=250 the +-1 m window already takes the exact basis, so it has no Taylor run.
+    @pytest.mark.parametrize("n, kwargs", [
+        (n, kwargs) for n in (250, 2000, 8000)
+        for kwargs in ({}, {"geometry_mode": ds.GeometryMode.PAPER_LITERAL},
+                       {"screen_min": -1, "screen_max": 1},
+                       {"screen_min": -0.1, "screen_max": 0.2})
+        if (n, kwargs.get("screen_max")) != (250, 1)
+    ])
+    def test_taylor_basis_matches_the_exact_basis(self, monkeypatch, n, kwargs):
+        # THETA = 1e-30 rad leaves no block of more than one point within it, so the engine
+        # takes the exact step table wherever it took the Taylor expansion.
+        cfg = ds.ExperimentConfig(n_positions=n, **kwargs)
+        assert block_length(cfg)[1]
+        taylor = ds.simulate_all(cfg, behaviors=self.BEHAVIORS)
+        monkeypatch.setattr(propagation, "THETA", 1e-30)
+        exact = ds.simulate_all(cfg, behaviors=self.BEHAVIORS)
+        assert not np.array_equal(taylor[QubitBehavior.NONE].density,
+                                  exact[QubitBehavior.NONE].density)    # two bases ran
+        assert_same_densities(taylor, exact, max(ORACLE_TOL, largest_phase(cfg) * 2.0 ** -53))
