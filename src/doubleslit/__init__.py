@@ -7,9 +7,8 @@ intensity profiles against elementary diffraction-and-interference optics.
 Its public names are those each module lists in its ``__all__``.
 """
 
-from . import analysis, errors, physics, propagation, qubit, reporting
+from . import analysis, physics, propagation, qubit, reporting
 from .analysis import *
-from .errors import *
 from .physics import *
 from .propagation import *
 from .qubit import *
@@ -17,5 +16,5 @@ from .reporting import *
 
 __version__ = "0.1.0"
 
-__all__ = [name for module in (analysis, errors, physics, propagation, qubit, reporting)
+__all__ = [name for module in (analysis, physics, propagation, qubit, reporting)
            for name in module.__all__]

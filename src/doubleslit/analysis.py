@@ -15,7 +15,6 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from . import physics
-from .errors import AnalysisError
 from .physics import ExperimentConfig, derive
 from .propagation import IntensityProfile
 from .qubit import QubitBehavior, screen_state
@@ -76,10 +75,11 @@ def find_peaks(profile: IntensityProfile) -> list[tuple[float, float]]:
     ``PEAK_PROMINENCE`` times the global maximum, which filters numerical
     ripple without suppressing genuine secondary maxima.  A plateau of equal
     values bounded by lower neighbors counts once, at its leftmost sample.
+    A profile without such a peak gives ``[]``; an empty one raises ``ValueError``.
     """
     density = np.asarray(profile.density)
     if density.size == 0:
-        raise AnalysisError("empty profile")
+        raise ValueError("empty profile")
     _, left, prominences = _maxima(density)
     keep = prominences > PEAK_PROMINENCE * density.max()
     return [(float(profile.positions[i]), float(density[i])) for i in left[keep]]
@@ -149,15 +149,14 @@ def fringe_spacing(peaks: Sequence[tuple[float, float]],
     return float(gaps[middle] if gaps.size % 2 else (gaps[middle - 1] + gaps[middle]) / 2)
 
 
-def find_first_minimum(profile: IntensityProfile) -> float:
-    """Position of the first strict local minimum right of the global maximum."""
+def find_first_minimum(profile: IntensityProfile) -> Optional[float]:
+    """Position of the first strict local minimum right of the global maximum, or None
+    when the profile has none there."""
     start = int(np.argmax(profile.density))
     tail = profile.density[start:]
     inner = tail[1:-1]
     minima = np.flatnonzero((inner < tail[:-2]) & (inner < tail[2:]))
-    if minima.size == 0:
-        raise AnalysisError("no local minimum found beyond the global maximum")
-    return float(profile.positions[start + 1 + minima[0]])
+    return float(profile.positions[start + 1 + minima[0]]) if minima.size else None
 
 
 def total_probability(profile: IntensityProfile) -> float:
@@ -253,9 +252,10 @@ def validate(profiles: Mapping[QubitBehavior, IntensityProfile],
     """Cross-check all three behaviors' profiles against the optics predictions.
 
     Requires one profile per behavior, all computed with ``config``, each on the
-    screen positions of ``build_grids(config, derive(config))`` with a finite density
-    of the same shape; raises ``ValueError`` naming the first one that is not, and then
-    the first check whose measured value is not finite (a total or spread that overflows).
+    screen positions of ``build_grids(config, derive(config))`` with a finite, nonnegative
+    density of the same shape; raises ``ValueError`` naming the first one that is not, and
+    then the first check whose measured value is not finite (a total that overflows).  A
+    feature the profiles do not show, such as a first minimum, is measured as None.
     ``interference_<b>`` expects fringes when both slit halves reach one ``screen_state``.
     """
     derived = derive(config)
@@ -271,10 +271,10 @@ def validate(profiles: Mapping[QubitBehavior, IntensityProfile],
         if not (np.array_equal(p.positions, screen) and np.shape(p.density) == screen.shape):
             raise ValueError(f"profile for {behavior.value!r} is not on the screen grid of "
                              f"build_grids(config, derive(config))")
-        finite = np.isfinite(p.density)
-        if not finite.all():
-            raise ValueError(f"profile for {behavior.value!r} has a non-finite density at "
-                             f"screen index {int(np.argmin(finite)) + 1}")
+        for fault, ok in (("non-finite", np.isfinite(p.density)), ("negative", p.density >= 0)):
+            if not ok.all():
+                raise ValueError(f"profile for {behavior.value!r} has a {fault} density at "
+                                 f"screen index {int(np.argmin(ok)) + 1}")
 
     preds = analytic_predictions(config)
 
@@ -292,7 +292,7 @@ def validate(profiles: Mapping[QubitBehavior, IntensityProfile],
         checks = [CheckResult(f"normalization_{b.value}", total_probability(profiles[b]),
                               NORMALIZATION_TARGET, NORMALIZATION_TOL) for b in QubitBehavior]
     totals = [c.measured for c in checks]
-    spread = (max(totals) - min(totals)) / (max(map(abs, totals)) or 1.0)
+    spread = (max(totals) - min(totals)) / (max(totals) or 1.0)
     checks.append(CheckResult("normalization_pairwise", spread, 0.0, BEHAVIOR_AGREEMENT_RTOL,
                               note="max relative spread of total probability across behaviors"))
     checks.append(CheckResult("fringe_spacing",
@@ -303,12 +303,9 @@ def validate(profiles: Mapping[QubitBehavior, IntensityProfile],
     # from the center; both sides are None if either side has no first minimum.
     remembers = profiles[QubitBehavior.REMEMBERS]
     sides = (("positive", 1), ("negative", -1))
-    try:
-        fmin = [s * find_first_minimum(replace(remembers, positions=s * remembers.positions[::s],
-                                               density=remembers.density[::s]))
-                for _, s in sides]
-    except AnalysisError:
-        fmin = [None, None]
+    fmin = [find_first_minimum(replace(remembers, positions=s * remembers.positions[::s],
+                                       density=remembers.density[::s])) for _, s in sides]
+    fmin = [None, None] if None in fmin else [s * x for (_, s), x in zip(sides, fmin)]
     smax = [None if edge is None else      # the nearest peak beyond each first minimum
             min((x for x, _ in peaks[QubitBehavior.REMEMBERS] if s * x > s * edge),
                 key=lambda x: s * x, default=None)

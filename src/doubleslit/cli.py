@@ -16,8 +16,7 @@ from pathlib import Path
 from typing import Optional
 
 from .analysis import validate
-from .errors import AnalysisError, ConfigError, SimulationError
-from .physics import ExperimentConfig, GeometryMode
+from .physics import ConfigError, ExperimentConfig, GeometryMode, SimulationError
 from .propagation import simulate_all
 from .qubit import QubitBehavior, build_mask
 from .reporting import (CONFIG_FILE_KEYS, read_config_file, write_mask_file,
@@ -153,7 +152,7 @@ def run(request: RunRequest) -> int:
                 print(f"validation failed: {', '.join(failed)}", file=sys.stderr)
                 return 2
         return 0
-    except (SimulationError, AnalysisError, OSError, ValueError, MemoryError) as exc:
+    except (SimulationError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

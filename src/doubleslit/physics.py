@@ -1,4 +1,4 @@
-"""Physical constants, discretization grids, and the free-particle propagator.
+"""Physical constants, discretization grids, the free-particle propagator, and the error types.
 
 The experiment: electrons of mass ``m`` and de Broglie wavelength ``lambda``
 arrive perpendicular to a wall carrying two slits of width ``a`` whose
@@ -25,9 +25,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, SimulationError
-
 __all__ = [
+    "ConfigError",
+    "SimulationError",
     "GeometryMode",
     "ExperimentConfig",
     "DerivedQuantities",
@@ -36,6 +36,14 @@ __all__ = [
     "build_grids",
     "kernel_prefactor",
 ]
+
+
+class ConfigError(ValueError):
+    """An experiment configuration violates its invariants."""
+
+
+class SimulationError(RuntimeError):
+    """A computation produced values that cannot be trusted (a non-finite amplitude or density)."""
 
 
 def _host_memory() -> float:

@@ -33,9 +33,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import SimulationError
-from .physics import (DerivedQuantities, ExperimentConfig, Grids, build_grids, derive,
-                      kernel_prefactor)
+from .physics import (DerivedQuantities, ExperimentConfig, Grids, SimulationError, build_grids,
+                      derive, kernel_prefactor)
 from .qubit import QubitBehavior, screen_state
 
 __all__ = [

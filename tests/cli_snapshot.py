@@ -4,10 +4,11 @@
 
 runs ``python -m doubleslit`` (the package the interpreter finds, so the checkout on
 ``PYTHONPATH``) on the runs in ``RUNS``: both screen bases, both geometries, the mirror
-and an asymmetric window, every output kind, JSON and text reports and ``--check``'s
-exit 2.  OUTDIR/<run>/ receives the files that run wrote, its config file if it has one,
-and its ``stdout``, ``stderr`` and ``exit_code``, so ``diff -r`` of two snapshots is empty
-exactly when the two checkouts give the same bytes on every run.  OUTDIR must not exist.
+and an asymmetric window, every output kind, JSON and text reports, ``--check``'s exit 2
+and a window too narrow to hold a first minimum.  OUTDIR/<run>/ receives the files that
+run wrote, its config file if it has one, and its ``stdout``, ``stderr`` and
+``exit_code``, so ``diff -r`` of two snapshots is empty exactly when the two checkouts
+give the same bytes on every run.  OUTDIR must not exist.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ RUNS = {
     "wide-2000": ("N = 2000\nZmin = -30\nZmax = 30\n", ["--csv", "p.csv", "--svg", "p.svg"]),
     "asymmetric-2050": ("N = 2050\nZmin = -0.1\nZmax = 0.2\n",
                         ["--csv", "p.csv", "--report", "report.json"]),
+    "no-minimum-64": ("N = 64\nZmin = -0.001\nZmax = 0.001\n",
+                      ["--csv", "p.csv", "--report", "report.json"]),
 }
 
 

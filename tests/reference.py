@@ -3,8 +3,8 @@
 import numpy as np
 
 from doubleslit import reporting as r
-from doubleslit.errors import AnalysisError, SimulationError
-from doubleslit.physics import DerivedQuantities, ExperimentConfig, kernel_prefactor
+from doubleslit.physics import (DerivedQuantities, ExperimentConfig, SimulationError,
+                                kernel_prefactor)
 from doubleslit.qubit import QubitBehavior
 
 # The allowed (slit half, e', e) combinations of each behavior, written down from the
@@ -136,12 +136,12 @@ def points_2f(xs, ys) -> str:
     return " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
 
 
-def first_minimum(profile) -> float:
+def first_minimum(profile):
     """``find_first_minimum`` as a scan one sample at a time: the position of the first
-    strict local minimum right of the global maximum."""
+    strict local minimum right of the global maximum, or None."""
     density = profile.density
     start = int(np.argmax(density))
     for i in range(start + 1, density.size - 1):
         if density[i] < density[i - 1] and density[i] < density[i + 1]:
             return float(profile.positions[i])
-    raise AnalysisError("no local minimum found beyond the global maximum")
+    return None

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 import doubleslit as ds
 from doubleslit.analysis import _maxima
-from doubleslit.errors import AnalysisError
 from doubleslit.qubit import QubitBehavior
 from reference import ALLOWED_COMBOS, first_minimum
 
@@ -71,7 +70,7 @@ class TestFindPeaks:
         assert set(xs) <= set(profile.positions.tolist())
 
     def test_empty_profile_rejected(self):
-        with pytest.raises(AnalysisError):
+        with pytest.raises(ValueError, match="^empty profile$"):
             ds.find_peaks(synthetic_profile([]))
 
 
@@ -139,8 +138,7 @@ class TestFindFirstMinimum:
         assert ds.find_first_minimum(synthetic_profile([1, 0, 1])) == 1.0
 
     def test_monotone_profile_has_no_minimum(self):
-        with pytest.raises(AnalysisError):
-            ds.find_first_minimum(synthetic_profile([0, 1, 2, 3]))
+        assert ds.find_first_minimum(synthetic_profile([0, 1, 2, 3])) is None
 
     def test_scans_rightward_from_global_maximum(self):
         density = [0.2, 0.1, 5, 1, 0.5, 2, 1]   # minimum at index 4
@@ -152,13 +150,20 @@ class TestFindFirstMinimum:
     @given(x=st.lists(st.integers(0, 3), min_size=1, max_size=40))
     def test_matches_per_sample_scan(self, x):
         profile = synthetic_profile(x)
-        try:
-            expected = first_minimum(profile)
-        except AnalysisError:
-            with pytest.raises(AnalysisError, match="no local minimum"):
-                ds.find_first_minimum(profile)
-        else:
-            assert ds.find_first_minimum(profile) == expected
+        assert ds.find_first_minimum(profile) == first_minimum(profile)
+
+
+class TestAbsentFeatures:
+    # A feature the profile does not show is None, never an exception: plateaus,
+    # monotone and constant profiles have no peak, minimum or fringe comb to report.
+    @settings(max_examples=500)
+    @given(x=st.lists(st.integers(0, 3), min_size=1, max_size=40))
+    def test_absent_feature_is_none(self, x):
+        profile = synthetic_profile(x)
+        peaks = ds.find_peaks(profile)
+        assert type(peaks) is list
+        for value in (ds.find_first_minimum(profile), ds.fringe_spacing(peaks, len(x))):
+            assert value is None or type(value) is float
 
 
 class TestTotalProbability:
@@ -248,17 +253,31 @@ class TestValidate:
     @pytest.mark.parametrize("window, others, remembers, name", [
         # 16 points of 1e308 sum past float64: every total is inf
         (0.15, 1e308, 1e308, "normalization_none"),
-        # totals of +-1e308 are finite, but their spread of 2e308 is not
-        (1000, 5e304, -5e304, "normalization_pairwise"),
     ])
     def test_non_finite_measurement_rejected(self, window, others, remembers, name):
-        # Finite densities whose totals or spread overflow would reach the JSON report as
-        # the invalid tokens Infinity and NaN; the overflow must not warn either.
+        # Finite densities whose totals overflow would reach the JSON report as the
+        # invalid tokens Infinity and NaN; the overflow must not warn either.
         config = ds.ExperimentConfig(n_positions=16, screen_min=-window, screen_max=window)
         profiles = {b: replace(p, density=np.full(16, remembers if b is QubitBehavior.REMEMBERS
                                                   else others))
                     for b, p in ds.simulate_all(config).items()}
         with pytest.raises(ValueError, match=rf"^check '{name}' measured a non-finite value"):
+            ds.validate(profiles, config)
+
+    @pytest.mark.parametrize("window, others, remembers, name", [
+        # totals of +-1e308: rejected before their spread of 2e308 can overflow
+        (1000, 5e304, -5e304, "remembers"),
+        # every total -0.3 and a spread of 0: finite, yet no probability
+        (0.15, -1.0, -1.0, "none"),
+    ])
+    def test_negative_density_rejected(self, window, others, remembers, name):
+        # A density is a probability per length: a negative one is no measurement.
+        config = ds.ExperimentConfig(n_positions=16, screen_min=-window, screen_max=window)
+        profiles = {b: replace(p, density=np.full(16, remembers if b is QubitBehavior.REMEMBERS
+                                                  else others))
+                    for b, p in ds.simulate_all(config).items()}
+        with pytest.raises(ValueError, match=rf"^profile for '{name}' has a negative density "
+                                             rf"at screen index 1$"):
             ds.validate(profiles, config)
 
     def test_totals_and_flags_are_read_from_the_checks(self, profiles_250, config_250):
@@ -448,3 +467,20 @@ class TestValidate:
         tree = json.loads(path.read_text())
         assert [c["measured"] for c in tree["checks"] if c["name"] in features] == [None] * 4
         assert tree["measured"]["first_minimum"] is None
+
+    def test_first_minimum_on_one_side_only_is_measured_on_neither(self, profiles_250,
+                                                                   config_250):
+        # Rising to its maximum at the right end, with one dip on the left: the negative
+        # side has a first minimum, the positive side none, so both are None.
+        remembers = profiles_250[QubitBehavior.REMEMBERS]
+        density = np.linspace(0.0, 1.0, remembers.density.size)
+        density[:3] = (0.5, 0.6, 0.0)
+        report = ds.validate({**profiles_250, QubitBehavior.REMEMBERS:
+                              replace(remembers, density=density)}, config_250)
+        checks = {c.name: c for c in report.checks}
+        assert ds.find_first_minimum(replace(remembers, density=density)) is None
+        assert ds.find_first_minimum(replace(remembers, positions=-remembers.positions[::-1],
+                                             density=density[::-1])) is not None
+        for side in ("positive", "negative"):
+            assert checks[f"first_minimum_{side}"].measured is None
+            assert checks[f"secondary_maximum_{side}"].measured is None

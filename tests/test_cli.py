@@ -430,8 +430,9 @@ def test_cli_snapshot_is_identical_across_processes(tmp_path):
              if name.endswith("/exit_code")}
     assert codes == {run: b"2\n" if run == "check-16" else b"0\n"
                      for run in ("ref-all", "large-none", "paper-250", "check-16",
-                                 "wide-2000", "asymmetric-2050")}
+                                 "wide-2000", "asymmetric-2050", "no-minimum-64")}
     for name in ("ref-all/p_remembers.csv", "ref-all/report.json", "ref-all/masks/mask_none.txt",
                  "check-16/report.txt", "wide-2000/p_forgets.svg", "asymmetric-2050/stdout"):
         assert first[name], name
     assert first["check-16/stderr"].startswith(b"validation failed: ")
+    assert json.loads(first["no-minimum-64/report.json"])["measured"]["first_minimum"] is None

@@ -9,9 +9,9 @@ from pathlib import Path
 import pytest
 
 import doubleslit as ds
-from doubleslit import analysis, cli, errors, physics, propagation, qubit, reporting
+from doubleslit import analysis, cli, physics, propagation, qubit, reporting
 
-EXPORTING = (analysis, errors, physics, propagation, qubit, reporting)
+EXPORTING = (analysis, physics, propagation, qubit, reporting)
 
 
 def test_package_all_is_the_modules_lists():
@@ -36,6 +36,18 @@ def test_module_all_lists_every_public_function_and_class(module):
                and value.__module__ == module.__name__}
     listed = {name for name in module.__all__ if is_code(getattr(module, name))}
     assert listed == defined
+
+
+def test_exception_classes_are_the_two_physics_errors():
+    # One failure model: bad input is a ValueError (ConfigError for a config), an
+    # untrustworthy computation a SimulationError, and an absent feature is None.
+    defined = {name: value for module in (*EXPORTING, cli) for name, value in vars(module).items()
+               if isinstance(value, type) and issubclass(value, BaseException)
+               and value.__module__ == module.__name__}
+    assert defined == {"ConfigError": ds.ConfigError, "SimulationError": ds.SimulationError}
+    assert ds.ConfigError.__module__ == ds.SimulationError.__module__ == physics.__name__
+    assert ds.ConfigError.__bases__ == (ValueError,)
+    assert ds.SimulationError.__bases__ == (RuntimeError,)
 
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"

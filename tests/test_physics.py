@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import doubleslit as ds
-from doubleslit.errors import ConfigError, SimulationError
+from doubleslit.physics import ConfigError, SimulationError
 from reference import kernel
 
 # Frozen oracles, recomputed independently at 50-digit precision before the

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import doubleslit as ds
 from doubleslit import propagation
-from doubleslit.errors import SimulationError
+from doubleslit.physics import SimulationError
 from doubleslit.qubit import QubitBehavior
 from reference import allowed_weights, long_double_densities, masked_matrix_density
 
