@@ -182,8 +182,8 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """A config and its checks; the totals, fringe flags and features the report prints
-    are read from the checks."""
+    """A config and its checks.  :meth:`to_dict` is the one view of it: the totals,
+    fringe flags and features it holds are read from the checks."""
 
     config: ExperimentConfig
     checks: tuple[CheckResult, ...]
@@ -191,16 +191,6 @@ class ValidationReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    @property
-    def totals(self) -> dict[str, float]:
-        """behavior name -> total probability, measured by check ``normalization_<b>``."""
-        return self.to_dict()["totals"]
-
-    @property
-    def interference(self) -> dict[str, bool]:
-        """behavior name -> fringes detected, measured by check ``interference_<b>``."""
-        return self.to_dict()["interference"]
 
     def to_dict(self) -> dict:
         config = {f.name: getattr(self.config, f.name) for f in fields(self.config)}

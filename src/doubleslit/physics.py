@@ -1,4 +1,4 @@
-"""Physical constants, discretization grids, the free-particle propagator, and the error types.
+"""Physical constants, derived quantities, discretization grids, and the error types.
 
 The experiment: electrons of mass ``m`` and de Broglie wavelength ``lambda``
 arrive perpendicular to a wall carrying two slits of width ``a`` whose
@@ -13,7 +13,8 @@ free-particle path-integral kernel
     B = i*m*(x - x')^2 / (2*hbar*(L/v))  =  i*c*(x - x')^2,   c = pi/(lambda*L),
 
 with v = h/(lambda*m) and the transit time fixed at L/v for every path (small-angle
-regime: L is enormous compared with both the slit scale and the screen span).
+regime: L is enormous compared with both the slit scale and the screen span).  A and c
+depend on the config alone, so :func:`derive` forms both, once per config.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ __all__ = [
     "Grids",
     "derive",
     "build_grids",
-    "kernel_prefactor",
 ]
 
 
@@ -141,6 +141,8 @@ class DerivedQuantities:
     ``slit_amplitude`` is the discrete amplitude delta_slit/sqrt(2a) carried
     by every coarse-grained slit level (units m^(1/2)); multiplying it by
     the kernel (units 1/m) yields screen amplitude densities in m^(-1/2).
+    ``kernel_prefactor`` A takes the principal square root, so sqrt(1/i) = exp(-i*pi/4):
+    the global phase cancels in any intensity, but a fixed branch keeps amplitudes reproducible.
     """
 
     velocity: float        # m/s, h / (lambda * m)
@@ -148,11 +150,13 @@ class DerivedQuantities:
     delta_screen: float    # m, (Zmax - Zmin) / N
     slit_amplitude: float  # m^(1/2), delta_slit / sqrt(2a)
     phase_scale: float     # 1/m^2, c = pi/(lambda*L): the kernel phase is c*(x-x')^2
+    kernel_prefactor: complex  # 1/m, A = sqrt(m / (2*i*pi*hbar*(L/v)))
 
 
 def derive(config: ExperimentConfig) -> DerivedQuantities:
-    """Velocity, grid spacings, slit amplitude and phase scale;
-    :class:`SimulationError` unless each is finite and positive."""
+    """Velocity, grid spacings, slit amplitude, phase scale and kernel prefactor A, with A
+    from hbar = h/(2*pi) and L/v in that order of roundings; :class:`SimulationError` naming
+    the first real quantity not finite and positive, or if A is not finite and nonzero."""
     try:
         velocity = config.planck / (config.wavelength * config.electron_mass)
         delta_slit = 2.0 * config.slit_width / config.n_positions
@@ -163,9 +167,15 @@ def derive(config: ExperimentConfig) -> DerivedQuantities:
         raise SimulationError("derived quantities are not finite/positive: "
                               "a denominator underflows to zero") from None
     values = (velocity, delta_slit, delta_screen, slit_amplitude, phase_scale)
-    if not all(math.isfinite(v) and v > 0 for v in values):
-        raise SimulationError(f"derived quantities are not finite/positive: {values}")
-    return DerivedQuantities(*values)
+    for name, value in zip(DerivedQuantities.__dataclass_fields__, values):    # in field order
+        if not (math.isfinite(value) and value > 0):
+            raise SimulationError(f"derived quantity {name} = {value} is not finite and positive")
+    hbar = config.planck / (2.0 * math.pi)
+    denom = 2j * math.pi * hbar * (config.wall_to_screen / velocity)    # 2i*pi*hbar*T
+    a = cmath.sqrt(config.electron_mass / denom) if denom else 0j
+    if not (cmath.isfinite(a) and a):
+        raise SimulationError(f"kernel prefactor A = {a}: float64 under- or overflows hbar*L/v")
+    return DerivedQuantities(*values, a)
 
 
 @dataclass(frozen=True)
@@ -234,18 +244,3 @@ def build_grids(config: ExperimentConfig, derived: DerivedQuantities) -> Grids:
                               f"its spacing of {derived.delta_screen:.3e} m near "
                               f"{screen_mid:.17g} m")
     return Grids(screen_positions=screen, slit_positions=slit)
-
-
-def kernel_prefactor(config: ExperimentConfig, derived: DerivedQuantities) -> complex:
-    """The position-independent amplitude A = sqrt(m / (2*i*pi*hbar*(L/v))).
-
-    The principal square root is used, so sqrt(1/i) = exp(-i*pi/4).  The
-    global phase cancels in any intensity, but a fixed branch keeps amplitude-level
-    outputs reproducible.  :class:`SimulationError` unless A is finite and nonzero.
-    """
-    hbar = config.planck / (2.0 * math.pi)
-    denom = 2j * math.pi * hbar * (config.wall_to_screen / derived.velocity)    # 2i*pi*hbar*T
-    a = cmath.sqrt(config.electron_mass / denom) if denom else 0j
-    if not (cmath.isfinite(a) and a):
-        raise SimulationError(f"kernel prefactor A = {a}: float64 under- or overflows hbar*L/v")
-    return a

@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .physics import (DerivedQuantities, ExperimentConfig, Grids, SimulationError, build_grids,
-                      derive, kernel_prefactor)
+                      derive)
 from .qubit import QubitBehavior, screen_state
 
 __all__ = [
@@ -181,7 +181,7 @@ def accumulate(config: ExperimentConfig, derived: DerivedQuantities, grids: Grid
     if not phase <= PHASE_LIMIT:
         raise SimulationError(f"largest engine phase {phase:.3e} rad exceeds {PHASE_LIMIT:.3e} "
                               f"rad, beyond which float64 rounds it by more than 1e-6 rad")
-    amp = kernel_prefactor(config, derived) * derived.slit_amplitude
+    amp = derived.kernel_prefactor * derived.slit_amplitude
     slit_sum = _build_slit_sum(n, c, derived, grids.screen_positions, amp)
     upper, screen = slit_sum(grids.upper_slit), grids.screen_positions
     mirrored = (np.array_equal(grids.lower_slit, -grids.upper_slit[::-1])

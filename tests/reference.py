@@ -3,8 +3,7 @@
 import numpy as np
 
 from doubleslit import reporting as r
-from doubleslit.physics import (DerivedQuantities, ExperimentConfig, SimulationError,
-                                kernel_prefactor)
+from doubleslit.physics import DerivedQuantities, ExperimentConfig, SimulationError
 from doubleslit.qubit import QubitBehavior
 
 # The allowed (slit half, e', e) combinations of each behavior, written down from the
@@ -43,7 +42,7 @@ def kernel(x, x_prime, config: ExperimentConfig, derived: DerivedQuantities):
     mis-scaled inputs rather than a recoverable condition.
     """
     displacement = np.subtract(x, x_prime)
-    out = kernel_prefactor(config, derived) * np.exp(
+    out = derived.kernel_prefactor * np.exp(
         1j * (derived.phase_scale * np.square(displacement)))
     if not np.all(np.isfinite(out)):
         raise SimulationError("kernel produced a non-finite amplitude; check input scales")

@@ -185,7 +185,7 @@ def test_c07_remembers_decomposition(paper_config, report_2000):
     incoherent = ((field.upper.real ** 2 + field.upper.imag ** 2)
                   + (field.lower.real ** 2 + field.lower.imag ** 2))
     no_cross_term = profile.density.tobytes() == incoherent.tobytes()
-    flags = report_2000.interference
+    flags = report_2000.to_dict()["interference"]
     flags_ok = (flags["remembers"] is False and flags["none"] is True
                 and flags["forgets"] is True)
     ok = no_cross_term and flags_ok

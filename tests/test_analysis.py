@@ -201,10 +201,9 @@ class TestValidate:
         assert report.passed is False
 
     def test_behavior_equivalence_of_measurements(self, profiles_250, config_250):
-        report = ds.validate(profiles_250, config_250)
-        assert report.totals["none"] == report.totals["forgets"]
-        assert report.interference == {"none": True, "forgets": True,
-                                       "remembers": False}
+        tree = ds.validate(profiles_250, config_250).to_dict()
+        assert tree["totals"]["none"] == tree["totals"]["forgets"]
+        assert tree["interference"] == {"none": True, "forgets": True, "remembers": False}
 
     def test_measured_features_inside_screen(self, profiles_250, config_250):
         report = ds.validate(profiles_250, config_250)
@@ -286,8 +285,9 @@ class TestValidate:
         edits = {"normalization_forgets": 0.5, "interference_none": 0.0}
         edited = ds.ValidationReport(config_250, tuple(
             replace(c, measured=edits.get(c.name, c.measured)) for c in report.checks))
-        assert edited.totals == {**report.totals, "forgets": 0.5}
-        assert edited.interference == {**report.interference, "none": False}
+        tree, edited_tree = report.to_dict(), edited.to_dict()
+        assert edited_tree["totals"] == {**tree["totals"], "forgets": 0.5}
+        assert edited_tree["interference"] == {**tree["interference"], "none": False}
         assert "total_probability_forgets = 0.5\ninterference_detected_none = false\n" \
             in edited.to_text()
 
@@ -320,7 +320,7 @@ class TestValidate:
         pairwise = checks["normalization_pairwise"]
         assert pairwise.passed == (pairwise.measured <= pairwise.tolerance)
         for b, expected in (("none", True), ("forgets", True), ("remembers", False)):
-            assert checks[f"interference_{b}"].passed == (report.interference[b] == expected)
+            assert checks[f"interference_{b}"].passed == (tree["interference"][b] == expected)
         assert report.passed == all(c["pass"] for c in tree["checks"])
 
     def test_mislabeled_profile_rejected(self, profiles_250, config_250):

@@ -292,6 +292,20 @@ class TestRun:
         assert re.match(f"error: largest engine phase {phase} rad .*\n$", capsys.readouterr().err)
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("constants", [
+        "h = 1e-10\nlambda = 1\nm = 1e290\nL = 1e10\n",
+        # the largest engine phase is beyond float64 too, but derive checks A before any
+        # grid is built, so A is what the run names
+        "h = 1\nlambda = 1\nm = 1e-300\nL = 1e-30\n",
+    ], ids=["transit-overflows", "transit-underflows-before-the-phase"])
+    def test_prefactor_beyond_float64_is_a_runtime_error(self, tmp_path, capsys, constants):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"{constants}N = 16\n")
+        code = main(["--config", str(cfg_file), "--csv", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert re.fullmatch(r"error: kernel prefactor A = [^\n]*\n", capsys.readouterr().err)
+        assert not (tmp_path / "o.csv").exists()
+
     def test_unallocatable_grid_is_a_runtime_error(self, tmp_path, capsys, monkeypatch):
         # numpy refuses the 7 PiB grid before allocating anything; the budget is raised
         # so that the run reaches numpy (as it does when the estimate is low).
@@ -413,7 +427,8 @@ def _files(root: Path) -> dict[str, bytes]:
 
 def test_cli_snapshot_is_identical_across_processes(tmp_path):
     # Two snapshots, each run by fresh processes, hold the same files with the same bytes:
-    # CSV, SVG, masks, JSON and text reports, stdout, stderr and --check's exit 2.
+    # CSV, SVG, masks, JSON and text reports, stdout, stderr, --check's exit 2 and an
+    # error's exit 1.
     src = str(Path(ds.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
@@ -428,11 +443,12 @@ def test_cli_snapshot_is_identical_across_processes(tmp_path):
     assert [name for name in first if first[name] != second[name]] == []
     codes = {name.split("/")[0]: data for name, data in first.items()
              if name.endswith("/exit_code")}
-    assert codes == {run: b"2\n" if run == "check-16" else b"0\n"
-                     for run in ("ref-all", "large-none", "paper-250", "check-16",
-                                 "wide-2000", "asymmetric-2050", "no-minimum-64")}
+    assert codes == {run: {"check-16": b"2\n", "prefactor-overflow-16": b"1\n"}.get(run, b"0\n")
+                     for run in ("ref-all", "large-none", "paper-250", "check-16", "wide-2000",
+                                 "asymmetric-2050", "no-minimum-64", "prefactor-overflow-16")}
     for name in ("ref-all/p_remembers.csv", "ref-all/report.json", "ref-all/masks/mask_none.txt",
                  "check-16/report.txt", "wide-2000/p_forgets.svg", "asymmetric-2050/stdout"):
         assert first[name], name
     assert first["check-16/stderr"].startswith(b"validation failed: ")
+    assert first["prefactor-overflow-16/stderr"].startswith(b"error: kernel prefactor A = ")
     assert json.loads(first["no-minimum-64/report.json"])["measured"]["first_minimum"] is None

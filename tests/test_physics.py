@@ -99,6 +99,18 @@ class TestDerive:
         total = n * d.delta_slit * (1.0 / (2.0 * cfg.slit_width))
         assert abs(total - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("overrides, message", [
+        # pi/(lambda*L) divides by a subnormal and overflows
+        ({"wall_to_screen": 1e-300}, "phase_scale = inf"),
+        # h/(lambda*m) underflows to zero without a zero denominator
+        ({"electron_mass": 1e300, "planck": 1e-300}, "velocity = 0.0"),
+    ], ids=["phase-scale-overflows", "velocity-underflows"])
+    def test_rejected_quantity_is_named(self, overrides, message):
+        cfg = ds.ExperimentConfig(n_positions=16, **overrides)
+        with pytest.raises(SimulationError,
+                           match=f"^derived quantity {message} is not finite and positive$"):
+            ds.derive(cfg)
+
 
 class TestGrids:
     def test_screen_grid(self, paper_config, paper_derived):
@@ -208,12 +220,12 @@ class TestGrids:
 
 class TestKernel:
     def test_zero_displacement_returns_prefactor(self, paper_config, paper_derived):
-        a = ds.kernel_prefactor(paper_config, paper_derived)
+        a = paper_derived.kernel_prefactor
         k = kernel(0.01, 0.01, paper_config, paper_derived)
         assert complex(k) == a
 
     def test_prefactor_value(self, paper_config, paper_derived):
-        a = ds.kernel_prefactor(paper_config, paper_derived)
+        a = paper_derived.kernel_prefactor
         assert a.real == pytest.approx(KERNEL_PREFACTOR_PART, rel=1e-13)
         assert a.imag == pytest.approx(-KERNEL_PREFACTOR_PART, rel=1e-13)
         assert abs(a) == pytest.approx(KERNEL_MODULUS, rel=1e-13)
@@ -238,7 +250,7 @@ class TestKernel:
         assert complex(kernel(x, xp, cfg, der)) == complex(kernel(xp, x, cfg, der))
 
     def test_unit_modulus_phase_factor(self, paper_config, paper_derived):
-        a = abs(ds.kernel_prefactor(paper_config, paper_derived))
+        a = abs(paper_derived.kernel_prefactor)
         k = kernel(0.15, -3.8e-9, paper_config, paper_derived)
         assert abs(abs(complex(k)) / a - 1.0) < 1e-12
 
@@ -254,7 +266,7 @@ class TestKernel:
         der = ds.derive(cfg)
         hbar, transit_time = planck / (2 * math.pi), wall_to_screen / der.velocity
         expected = cmath.sqrt(mass / (2j * math.pi * hbar * transit_time))
-        assert ds.kernel_prefactor(cfg, der) == expected
+        assert der.kernel_prefactor == expected
 
     @pytest.mark.parametrize("overrides", [
         # v = 1e300 is finite, but L/v underflows to 0
@@ -265,9 +277,9 @@ class TestKernel:
     def test_prefactor_beyond_float64_raises(self, overrides):
         cfg = ds.ExperimentConfig(n_positions=16, **overrides)
         with pytest.raises(SimulationError, match="^kernel prefactor A = "):
-            ds.kernel_prefactor(cfg, ds.derive(cfg))
+            ds.derive(cfg)
 
     def test_non_finite_raises(self, paper_config, paper_derived):
-        broken = replace(paper_derived, velocity=float("nan"))
+        broken = replace(paper_derived, kernel_prefactor=complex("nan"))
         with pytest.raises(SimulationError):
             kernel(0.1, 0.0, paper_config, broken)

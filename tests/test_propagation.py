@@ -378,6 +378,14 @@ class TestAccumulate:
         with pytest.raises(ValueError, match="not those of config"):
             ds.accumulate(config_250, foreign, grids, QubitBehavior.NONE)
 
+    def test_foreign_kernel_prefactor_rejected(self, config_250):
+        # A is part of derive(config): a prefactor of the other branch is not this config's
+        derived = ds.derive(config_250)
+        grids = ds.build_grids(config_250, derived)
+        flipped = replace(derived, kernel_prefactor=-derived.kernel_prefactor)
+        with pytest.raises(ValueError, match="not those of config"):
+            ds.accumulate(config_250, flipped, grids, QubitBehavior.NONE)
+
     def test_foreign_grids_rejected(self, config_250):
         # same N and spacings, another window and slit separation
         derived = ds.derive(config_250)
