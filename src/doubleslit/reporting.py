@@ -36,8 +36,9 @@ _CHUNK_ROWS = 1024
 
 # Chunk lists with the (positions, density) bytes they were formatted from, for the one
 # positions array _memo_for refers to; freeing that array empties the memo.  A run's
-# profiles share it, and none and forgets one density, so --qubit all formats two texts.
-# Looked up by ==, not by hash: hashing the bytes cost a one-behavior N=8000 run 0.1 ms.
+# profiles share it, and none and forgets one density, so --qubit all formats two texts;
+# a mirror-image profile formats only its upper half, and its lower chunks are built from
+# that text.  Looked up by ==, not by hash: hashing the bytes cost an N=8000 run 0.1 ms.
 _memo: list[tuple[bytes, bytes, list[bytes]]] = []
 _memo_for = lambda: None        # weakref.ref of the memo's positions array; none yet
 
@@ -61,7 +62,10 @@ def write_profile_csv(profile: IntensityProfile, path) -> None:
     """One row per screen position, ascending x, 17 significant digits, LF endings.
 
     Each number is written as ``"%.17g"`` writes its float64 value.  Raises
-    ``ValueError`` unless positions and density are 1-D of one size.
+    ``ValueError`` unless positions and density are 1-D of one size.  Where the lower half
+    of positions is, bit for bit, the negated reverse of an upper half that is all > 0,
+    and the density's lower half the reverse of its upper half, only the upper half is
+    formatted: ``"%.17g" % -v`` is ``"-" + "%.17g" % v`` for every such v.
     """
     global _memo_for
     xs = np.asarray(profile.positions, dtype=np.float64)
@@ -75,7 +79,16 @@ def write_profile_csv(profile: IntensityProfile, path) -> None:
     xb, yb = xs.tobytes(), ys.tobytes()
     parts = next((p for x, y, p in _memo if x == xb and y == yb), None)
     if parts is None:
-        parts = _text_chunks(xs, ys, _csv_rows, b"\n")
+        # On a mirror image about 0, each lower row is its mirror's upper row after a "-".
+        h = xs.size // 2
+        x_up, y_up = xs[h:], ys[h:]
+        if ((x_up > 0).all() and xs[:h].tobytes() == (-x_up[::-1]).tobytes()
+                and ys[:h].tobytes() == y_up[::-1].tobytes()):
+            upper = _text_chunks(x_up, y_up, _csv_rows, b"\n")
+            parts = [b"-" + b"\n-".join(t[:-1].split(b"\n")[::-1]) + b"\n"
+                     for t in upper[::-1]] + upper
+        else:
+            parts = _text_chunks(xs, ys, _csv_rows, b"\n")
         _memo.append((xb, yb, parts))
     with open(path, "wb") as fh:
         fh.write(CSV_HEADER.encode("ascii") + b"\n")

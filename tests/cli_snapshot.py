@@ -5,10 +5,11 @@
 runs ``python -m doubleslit`` (the package the interpreter finds, so the checkout on
 ``PYTHONPATH``) on the runs in ``RUNS``: both screen bases, both geometries, the mirror
 and an asymmetric window, every output kind, JSON and text reports, ``--check``'s exit 2,
-a window too narrow to hold a first minimum, and a config whose kernel prefactor float64
-cannot hold (exit 1).  OUTDIR/<run>/ receives the files that run wrote, its config file
-if it has one, and its ``stdout``, ``stderr`` and ``exit_code``, so ``diff -r`` of two
-snapshots is empty exactly when the two checkouts give the same bytes on every run.
+a window too narrow to hold a first minimum, a config whose kernel prefactor float64
+cannot hold (exit 1), and the mirror window at N=2050, whose CSV's 1025-row upper half
+ends one row into a second chunk.  OUTDIR/<run>/ receives the files that run wrote, its
+config file if it has one, and its ``stdout``, ``stderr`` and ``exit_code``, so ``diff -r``
+of two snapshots is empty exactly when the two checkouts give the same bytes on every run.
 OUTDIR must not exist.
 """
 
@@ -35,6 +36,8 @@ RUNS = {
                       ["--csv", "p.csv", "--report", "report.json"]),
     "prefactor-overflow-16": ("h = 1e-10\nlambda = 1\nm = 1e290\nL = 1e10\nN = 16\n",
                               ["--csv", "p.csv"]),
+    "mirror-2050": ("N = 2050\n", ["--csv", "p.csv", "--svg", "p.svg", "--masks", "masks",
+                                   "--report", "report.json"]),
 }
 
 

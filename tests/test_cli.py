@@ -183,7 +183,10 @@ class TestRun:
         assert main(["--qubit", "forgets", "--n", "250", "--csv", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_none_and_forgets_csv_formatted_once(self, tmp_path, monkeypatch):
+    def _check_chunks_formatted(self, tmp_path, monkeypatch, args, chunks_per_density):
+        """Two --qubit all runs format each distinct density's chunks once, with nothing kept
+        between runs: ``chunks_per_density`` rows per chunk, for none (and forgets) and
+        remembers."""
         chunks = []
         csv_rows = reporting._csv_rows
 
@@ -193,12 +196,21 @@ class TestRun:
 
         monkeypatch.setattr(reporting, "_csv_rows", counted)
         for run in (1, 2):
-            assert main(["--qubit", "all", "--n", "2000", "--csv", str(tmp_path / "p.csv")]) == 0
+            assert main(["--qubit", "all", *args, "--csv", str(tmp_path / "p.csv")]) == 0
             none, remembers, forgets = (
                 (tmp_path / f"p_{b.value}.csv").read_bytes() for b in QubitBehavior)
             assert none == forgets != remembers
-            # 2 distinct densities x 2 chunks per run, not 3 x 2, and nothing kept between runs
-            assert chunks == [1024, 976] * 2 * run
+            assert chunks == chunks_per_density * 2 * run
+
+    def test_none_and_forgets_csv_formatted_once(self, tmp_path, monkeypatch):
+        # 2 distinct densities x their 1000-row upper halves per run, not 3 x 2 chunks: the
+        # corrected geometry on the default window is a mirror image about 0
+        self._check_chunks_formatted(tmp_path, monkeypatch, ["--n", "2000"], [1000])
+
+    def test_every_row_formatted_off_the_mirror(self, tmp_path, monkeypatch):
+        # the paper's geometry is no mirror image: 2 densities x 2 chunks of every row
+        self._check_chunks_formatted(tmp_path, monkeypatch,
+                                     ["--n", "2000", "--geometry", "paper"], [1024, 976])
 
     def test_unwritable_shared_csv_is_a_runtime_error(self, tmp_path, capsys):
         (tmp_path / "p_forgets.csv").mkdir()
@@ -445,9 +457,11 @@ def test_cli_snapshot_is_identical_across_processes(tmp_path):
              if name.endswith("/exit_code")}
     assert codes == {run: {"check-16": b"2\n", "prefactor-overflow-16": b"1\n"}.get(run, b"0\n")
                      for run in ("ref-all", "large-none", "paper-250", "check-16", "wide-2000",
-                                 "asymmetric-2050", "no-minimum-64", "prefactor-overflow-16")}
+                                 "asymmetric-2050", "no-minimum-64", "prefactor-overflow-16",
+                                 "mirror-2050")}
     for name in ("ref-all/p_remembers.csv", "ref-all/report.json", "ref-all/masks/mask_none.txt",
-                 "check-16/report.txt", "wide-2000/p_forgets.svg", "asymmetric-2050/stdout"):
+                 "check-16/report.txt", "wide-2000/p_forgets.svg", "asymmetric-2050/stdout",
+                 "mirror-2050/p_none.csv"):
         assert first[name], name
     assert first["check-16/stderr"].startswith(b"validation failed: ")
     assert first["prefactor-overflow-16/stderr"].startswith(b"error: kernel prefactor A = ")

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import doubleslit as ds
+from doubleslit import reporting
 from doubleslit.physics import GeometryMode
 from doubleslit.qubit import QubitBehavior
 from doubleslit.reporting import (CSV_HEADER, _CHUNK_ROWS, _csv_tables, _digits, _svg_rows,
@@ -262,6 +263,91 @@ class TestNumpyCsvFormatter:
         n = profile_64000.positions.size
         peak = _peak_alloc(ds.write_profile_csv, profile_64000, tmp_path / "profile.csv")
         assert peak <= 100 * n, f"{peak / n:.0f} bytes per row"
+
+    def test_allocation_per_row_off_the_mirror(self, tmp_path):
+        # The same bound where every row is formatted: an asymmetric window is no mirror image.
+        config = ds.ExperimentConfig(n_positions=64_000, screen_min=-0.1, screen_max=0.2)
+        profile = ds.simulate_all(config, behaviors=(QubitBehavior.NONE,))[QubitBehavior.NONE]
+        n = profile.positions.size
+        peak = _peak_alloc(ds.write_profile_csv, profile, tmp_path / "profile.csv")
+        assert peak <= 100 * n, f"{peak / n:.0f} bytes per row"
+
+
+def _mirrored(x_upper, y_upper):
+    """Positions and density whose lower halves mirror the given upper halves."""
+    return (np.concatenate((-x_upper[::-1], x_upper)),
+            np.concatenate((y_upper[::-1], y_upper)))
+
+
+def _mirror_values(n, seed):
+    """An upper half of n positive positions and n densities drawn from zeros, subnormals,
+    inf, nan, decimal ties ("%.17g" fallback rows) and plain values; from 22 rows on, the
+    densities hold each of the first six and eight of the others at random rows."""
+    rng = np.random.default_rng(seed)
+    ties = _ties()
+    ties = ties[ties > 0]
+    plain = rng.random(64)
+    x = np.sort(rng.choice(np.concatenate((ties, plain, [5e-324, 1e-310, np.inf])), n))
+    pool = np.concatenate(([0.0, 5e-324, 1e-310, 2e-308, np.inf, np.nan], ties[:8], plain[:8]))
+    y = np.concatenate((pool, rng.choice(np.concatenate((ties[:64], plain)), n)))
+    return x, rng.permutation(y[:max(n, pool.size)])[:n]
+
+
+def _near_misses():
+    """Profiles one step off a mirror image, which must be formatted row by row."""
+    x, y = _mirror_values(1024, 1)
+    xs, ys = _mirrored(x, y)
+    cases = {"odd-size": (np.concatenate((xs[:1024], [0.0], xs[1024:])),
+                          np.concatenate((ys[:1024], [1.0], ys[1024:])))}
+    zero = x.copy()
+    zero[0] = 0.0
+    cases["middle-zeros"] = _mirrored(zero, y)          # -0.0 and 0.0 either side of 0
+    ulp = ys.copy()
+    ulp[1000] = np.nextafter(ulp[1000], np.inf) if np.isfinite(ulp[1000]) else 1.0
+    cases["density-ulp"] = (xs, ulp)
+    for name, value in (("negative", -0.5), ("zero", 0.0), ("nan", np.nan)):
+        upper = x.copy()
+        upper[500] = value
+        cases[f"upper-{name}"] = _mirrored(upper, y)
+    return cases
+
+
+class TestMirrorCsv:
+    """A profile whose lower half mirrors its upper half about 0 is formatted from its upper
+    half; every other profile row by row.  The bytes are "%.17g"'s either way."""
+
+    @staticmethod
+    def _rows_formatted(xs, ys, tmp_path, monkeypatch) -> int:
+        rows = []
+        csv_rows = reporting._csv_rows
+
+        def counted(v):
+            rows.append(v.size // 2)
+            return csv_rows(v)
+
+        monkeypatch.setattr(reporting, "_csv_rows", counted)
+        expected = CSV_HEADER + "\n" + profile_csv_rows(xs, ys)
+        assert _written_csv(xs, ys, tmp_path) == expected.encode("ascii")
+        return sum(rows)
+
+    @pytest.mark.parametrize("n", [2, 16, 2046, 2048, 2050])
+    def test_upper_half_formatted(self, n, tmp_path, monkeypatch):
+        xs, ys = _mirrored(*_mirror_values(n // 2, n))
+        assert self._rows_formatted(xs, ys, tmp_path, monkeypatch) == n // 2
+
+    def test_reference_profiles_take_the_mirror(self, profiles_by_n, tmp_path, monkeypatch):
+        # Corrected profiles on a symmetric window are bitwise mirror images; the paper's not.
+        mirror = profiles_by_n[QubitBehavior.NONE].config.geometry_mode == GeometryMode.CORRECTED
+        for profile in profiles_by_n.values():
+            xs = profile.positions.copy()           # a new array: nothing of the last text kept
+            rows = self._rows_formatted(xs, profile.density, tmp_path, monkeypatch)
+            n = xs.size
+            assert rows == (n // 2 if mirror else n), profile.behavior
+
+    @pytest.mark.parametrize("xs, ys", [pytest.param(*arrays, id=name)
+                                        for name, arrays in _near_misses().items()])
+    def test_near_misses_format_every_row(self, xs, ys, tmp_path, monkeypatch):
+        assert self._rows_formatted(xs, ys, tmp_path, monkeypatch) == xs.size
 
 
 def _ties_and_bounds():
