@@ -12,7 +12,7 @@ centre, a block-by-offset factor and the small in-block term -2c*rho_r*u_k.
 Where R can hold more than TERMS points with that term within THETA, it is
 expanded in a Taylor series, and each block's factor is the middle block's times a
 power of one step factor: a slit half costs N + B + R complex exps and about
-B*(N/2)*TERMS multiply-adds, B = N/R, in place of N^2/2 (Candes, Demanet & Ying, *A
+B*N*TERMS real multiply-adds, B = N/R, in place of N^2/2 complex ones (Candes, Demanet & Ying, *A
 fast butterfly algorithm for the computation of Fourier integral operators*, 2009,
 for why an oscillatory kernel is low rank on such blocks).  On wide windows, where R would
 be small, the term comes from an exact step table and the half costs N^2/2 multiply-adds,
@@ -88,20 +88,28 @@ def _powers(y: np.ndarray) -> np.ndarray:
     return p
 
 
+def _real_product(z: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """z @ r, z complex and r real, as one real product of z's stacked real and imaginary parts."""
+    p = np.concatenate((z.real, z.imag)) @ r
+    out = np.empty((len(z), r.shape[1]), complex)
+    out.real, out.imag = p[:len(z)], p[len(z):]
+    return out
+
+
 def _build_slit_sum(n: int, c: float, derived: DerivedQuantities, screen: np.ndarray, amp: complex):
     """The function that takes a slit half h[k] = centre + u[k] to its (N,) sums
     sum_k amp * exp(i*c*(h[k]^2 - 2*x*h[k])) at screen point j = b*R + r, x = blocks[b] + rho[r].
     It adds chunk_sum(u, h) over chunks of CHUNK slit points in ascending order, each a (B, R)
-    array or (B, TERMS) moments that ``expand`` (TERMS, R) turns into one, and multiplies the
+    array or (B, TERMS) moments that ``expand`` turns into one, and multiplies the
     total by exp(-2i*c*blocks*centre) and exp(-2i*c*rho*centre), the largest phases.
 
     In a block of R screen points |2c*rho*u| <= (R - 1)*c*a_h*delta_screen, a_h the largest
     |u|.  R is the largest block that keeps this within THETA.  Where R > TERMS the Taylor
     basis costs less than the exact one and is taken: exp(-2i*c*rho*u) is the sum over
     m < TERMS of (-i*theta)^m/m! * (rho/max rho)^m * (u/a_h)^m, so a chunk's moments are
-    T @ (u/a_h)^m with T = amp * exp(i*c*(h^2 - 2*blocks (x) u)), and ``expand`` holds the
-    rest.  Only T's middle row is an exp; the rows above it are its products by W, W^2, ...
-    and those below by conj(W), ..., with W = exp(-2i*c*R*delta_screen*u).
+    T @ (u/a_h)^m with T = amp * exp(i*c*(h^2 - 2*blocks (x) u)); ``expand`` does the rest,
+    both by :func:`_real_product`.  Only T's middle row is an exp; the rows above it are its
+    products by W, W^2, ... and those below by conj(W), ..., with W = exp(-2i*c*R*delta_screen*u).
     Otherwise R = isqrt(N) and a chunk with middle m and offsets m + t adds
     v * ((F * q) @ G) * e, with q = amp * exp(i*c*h^2), F = exp(-2i*c*blocks (x) t) and
     G = exp(-2i*c*t (x) rho) shared by every chunk, v = exp(-2i*c*m*blocks) and
@@ -118,17 +126,22 @@ def _build_slit_sum(n: int, c: float, derived: DerivedQuantities, screen: np.nda
         theta = span * (stride - 1)
         coeff = np.cumprod(np.concatenate(([1.0], -1j * theta / np.arange(1, TERMS))))
         mid, step = blocks.size // 2, stride * derived.delta_screen
-        expand = coeff[:, None] * _powers(rho / rho[-1])
+        powers = _powers(rho / rho[-1])
 
         def chunk_sum(u, h):
             t = np.empty((blocks.size, u.size), complex)
             t[mid] = amp * np.exp(1j * (c * (h * h) - 2.0 * c * blocks[mid] * u))
-            w = np.exp(1j * (-2.0 * c * step * u)) if blocks.size > 1 else None
-            for b in range(mid + 1, blocks.size):
-                np.multiply(t[b - 1], w, out=t[b])
-            for b in range(mid - 1, -1, -1):
-                np.multiply(t[b + 1], w.conj(), out=t[b])
-            return t @ _powers(u / a_h).T
+            if mid:
+                w = np.exp(1j * (-2.0 * c * step * u))
+                for b in range(mid + 1, blocks.size):
+                    np.multiply(t[b - 1], w, out=t[b])
+                np.conjugate(w, out=w)
+                for b in range(mid - 1, -1, -1):
+                    np.multiply(t[b + 1], w, out=t[b])
+            return _real_product(t, _powers(u / a_h).T)
+
+        def expand(moments):
+            return _real_product(moments * coeff, powers)
     else:
         width = min(CHUNK, n // 2)
         offsets = (np.arange(width) - (width - 1) / 2) * derived.delta_slit
@@ -149,9 +162,10 @@ def _build_slit_sum(n: int, c: float, derived: DerivedQuantities, screen: np.nda
         for s in range(0, h.size, CHUNK):
             out += chunk_sum(h[s:s + CHUNK] - centre, h[s:s + CHUNK])
         if expand is not None:
-            out = out @ expand
-        return (np.exp(1j * (-2.0 * c * centre * blocks))[:, None] * out
-                * np.exp(1j * (-2.0 * c * centre * rho))).ravel()[:n]
+            out = expand(out)
+        # in place, as v * out * e: numpy's complex product is not bitwise commutative
+        np.multiply(np.exp(1j * (-2.0 * c * centre * blocks))[:, None], out, out=out)
+        return np.multiply(out, np.exp(1j * (-2.0 * c * centre * rho)), out=out).ravel()[:n]
 
     return slit_sum
 
@@ -200,18 +214,19 @@ def intensity(field: AmplitudeField) -> IntensityProfile:
     density and the lowest qubit state whose amplitude, or its square, is not finite
     there, or the lowest state if only their sum is not.
     """
-    states: dict[int, np.ndarray] = {}      # screen qubit state e -> its amplitude
-    for half, total in (("lower", field.lower), ("upper", field.upper)):
-        e = screen_state(field.behavior, half)
-        states[e] = states.get(e, 0) + total
+    e_lower, e_upper = (screen_state(field.behavior, half) for half in ("lower", "upper"))
     with np.errstate(over="ignore"):
-        density = sum(amplitude.real ** 2 + amplitude.imag ** 2 for amplitude in states.values())
+        # (screen qubit state e, its amplitude): one coherent sum, or one state per half
+        states = (((e_lower, field.lower + field.upper),) if e_lower == e_upper
+                  else ((e_lower, field.lower), (e_upper, field.upper)))
+        squares = [amplitude.real ** 2 + amplitude.imag ** 2 for _, amplitude in states]
+        density = squares[0] + squares[1] if len(squares) == 2 else squares[0]
         finite = np.isfinite(density)
         if not finite.all():
             i = int(finite.argmin())
-            square = {e: a[i].real ** 2 + a[i].imag ** 2 for e, a in states.items()}
-            e = min((e for e, s in square.items() if not np.isfinite(s)), default=min(states))
-            kind = "density" if np.isfinite(states[e][i]) else "amplitude"
+            e, amplitude = min(states, key=lambda s: (
+                bool(np.isfinite(s[1][i].real ** 2 + s[1][i].imag ** 2)), s[0]))
+            kind = "density" if np.isfinite(amplitude[i]) else "amplitude"
             raise SimulationError(f"non-finite {kind} at screen index {i + 1}, qubit state {e}")
     return IntensityProfile(positions=field.positions, density=density,
                             behavior=field.behavior, config=field.config)

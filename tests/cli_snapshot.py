@@ -11,6 +11,13 @@ ends one row into a second chunk.  OUTDIR/<run>/ receives the files that run wro
 config file if it has one, and its ``stdout``, ``stderr`` and ``exit_code``, so ``diff -r``
 of two snapshots is empty exactly when the two checkouts give the same bytes on every run.
 OUTDIR must not exist.
+
+    python tests/cli_snapshot.py --compare A B
+
+prints, run by run, each file that differs between snapshots A and B (or is in one only).
+For a CSV profile present in both it adds whether the positions are bitwise equal and the
+largest |density difference| as a fraction of A's peak density.  It exits 1 if any file
+differs and 0 if none does.
 """
 
 from __future__ import annotations
@@ -18,6 +25,8 @@ from __future__ import annotations
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 # run -> (config file text or None, command-line arguments); paths are inside the run's
 # own directory, which is the working directory of its process
@@ -56,7 +65,43 @@ def snapshot(outdir: Path) -> None:
         (run_dir / "exit_code").write_text(f"{result.returncode}\n")
 
 
+def snapshot_files(root: Path) -> dict[str, bytes]:
+    """Each file under root, by its path relative to root, with its bytes."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def _profile(data: bytes) -> np.ndarray:
+    """A CSV profile's (positions, density) columns, as float64 rows."""
+    return np.loadtxt(data.decode().splitlines(), delimiter=",", skiprows=1, ndmin=2)
+
+
+def compare(a: Path, b: Path) -> list[str]:
+    """One line per file that differs between snapshots a and b, in run and file order."""
+    first, second = snapshot_files(a), snapshot_files(b)
+    lines = []
+    for name in sorted(first.keys() | second.keys()):
+        if name not in second or name not in first:
+            lines.append(f"{name}: only in {a if name in first else b}")
+        elif first[name] != second[name]:
+            line = name
+            if name.endswith(".csv"):
+                old, new = _profile(first[name]), _profile(second[name])
+                if old.shape != new.shape:
+                    line += f": {len(old)} rows against {len(new)}"
+                else:
+                    same = old[:, 0].tobytes() == new[:, 0].tobytes()
+                    delta = np.abs(new[:, 1] - old[:, 1]).max() / old[:, 1].max()
+                    line += (f": positions {'bitwise equal' if same else 'differ'}, "
+                             f"max |d density| / peak = {delta:.3g}")
+            lines.append(line)
+    return lines
+
+
 if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        differing = compare(Path(sys.argv[2]), Path(sys.argv[3]))
+        print("\n".join(differing), end="\n" if differing else "")
+        sys.exit(1 if differing else 0)
     if len(sys.argv) != 2:
-        sys.exit("usage: cli_snapshot.py OUTDIR")
+        sys.exit("usage: cli_snapshot.py OUTDIR | cli_snapshot.py --compare A B")
     snapshot(Path(sys.argv[1]))

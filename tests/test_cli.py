@@ -17,6 +17,7 @@ from doubleslit import reporting
 from doubleslit.cli import _build_parser, main, parse_args
 from doubleslit.qubit import QubitBehavior
 from doubleslit.reporting import CONFIG_FILE_KEYS, read_config_file
+from cli_snapshot import snapshot_files
 
 # Exponents of the reference constants, so that many fuzzed files are valid.
 REFERENCE_EXPONENT = {"lambda": -10, "m": -31, "h": -34, "a": -9, "d": -8, "L": 0,
@@ -330,8 +331,8 @@ class TestRun:
         monkeypatch.setattr(ds.physics, "MEMORY_BUDGET", 64 * ds.physics.BYTES_PER_N - 1)
         code = main(["--n", "64", "--report", str(tmp_path / "R.json")])
         assert code == 1
-        assert capsys.readouterr() == ("", "error: n_positions=64 needs about 10880 bytes "
-                                       "(170 per position), above the budget of 10879 bytes\n")
+        assert capsys.readouterr() == ("", "error: n_positions=64 needs about 6400 bytes "
+                                       "(100 per position), above the budget of 6399 bytes\n")
         assert not (tmp_path / "R.json").exists()
 
     # Extreme values end in an error line before numpy can overflow: no RuntimeWarning.
@@ -433,10 +434,6 @@ sizes()
 SNAPSHOT = Path(__file__).with_name("cli_snapshot.py")
 
 
-def _files(root: Path) -> dict[str, bytes]:
-    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
-
-
 def test_cli_snapshot_is_identical_across_processes(tmp_path):
     # Two snapshots, each run by fresh processes, hold the same files with the same bytes:
     # CSV, SVG, masks, JSON and text reports, stdout, stderr, --check's exit 2 and an
@@ -449,7 +446,7 @@ def test_cli_snapshot_is_identical_across_processes(tmp_path):
         result = subprocess.run([sys.executable, str(SNAPSHOT), str(tmp_path / side)],
                                 env=env, capture_output=True, text=True, timeout=600)
         assert result.returncode == 0, result.stderr
-        snapshots.append(_files(tmp_path / side))
+        snapshots.append(snapshot_files(tmp_path / side))
     first, second = snapshots
     assert sorted(first) == sorted(second)
     assert [name for name in first if first[name] != second[name]] == []
@@ -466,3 +463,34 @@ def test_cli_snapshot_is_identical_across_processes(tmp_path):
     assert first["check-16/stderr"].startswith(b"validation failed: ")
     assert first["prefactor-overflow-16/stderr"].startswith(b"error: kernel prefactor A = ")
     assert json.loads(first["no-minimum-64/report.json"])["measured"]["first_minimum"] is None
+
+
+def test_cli_snapshot_compare_reports_a_one_ulp_change(tmp_path):
+    # A snapshot compared with itself reports nothing; a copy with its peak density one ulp
+    # higher reports that file alone, with equal positions and about 1e-16 of the peak.
+    run = tmp_path / "a" / "run-250"
+    run.mkdir(parents=True)
+    assert main(["--n", "250", "--qubit", "none", "--csv", str(run / "p.csv")]) == 0
+    (run / "stdout").write_text("done\n")
+    lines = (run / "p.csv").read_text().splitlines(keepends=True)
+    density = np.array([float(line.split(",")[1]) for line in lines[1:]])
+    i = 1 + int(density.argmax())
+    x, y = lines[i].split(",")
+    bumped = tmp_path / "b" / "run-250"
+    bumped.mkdir(parents=True)
+    (bumped / "stdout").write_text("done\n")
+    (bumped / "p.csv").write_text("".join(
+        lines[:i] + [f"{x},{np.nextafter(float(y), np.inf):.17g}\n"] + lines[i + 1:]))
+
+    def compare(a, b):
+        return subprocess.run([sys.executable, str(SNAPSHOT), "--compare", str(a), str(b)],
+                              capture_output=True, text=True, timeout=60)
+
+    same = compare(tmp_path / "a", tmp_path / "a")
+    assert (same.returncode, same.stdout, same.stderr) == (0, "", "")
+    differ = compare(tmp_path / "a", tmp_path / "b")
+    assert differ.returncode == 1 and differ.stderr == ""
+    line, = differ.stdout.splitlines()
+    match = re.fullmatch(r"run-250/p\.csv: positions bitwise equal, "
+                         r"max \|d density\| / peak = (\S+)", line)
+    assert match and 1.1e-16 <= float(match[1]) <= 2.3e-16, line
