@@ -18,7 +18,7 @@ import doubleslit as ds
 N_EXPORT = 8
 
 for behavior in ds.QubitBehavior:
-    mask = ds.build_mask(behavior, N_EXPORT)
-    print(ds.render_mask(mask))
-    both_slits_meet = ds.screen_state(behavior, "lower") == ds.screen_state(behavior, "upper")
+    print(ds.render_mask(ds.TransitionMask(behavior, N_EXPORT)))
+    e_lower, e_upper = ds.screen_states(behavior)
+    both_slits_meet = e_lower == e_upper
     print(f"interference possible: {both_slits_meet}\n")

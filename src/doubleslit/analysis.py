@@ -17,7 +17,7 @@ import numpy as np
 from . import physics
 from .physics import ExperimentConfig, derive
 from .propagation import IntensityProfile
-from .qubit import QubitBehavior, screen_state
+from .qubit import QubitBehavior, screen_states
 
 __all__ = [
     "AnalyticPredictions",
@@ -246,7 +246,7 @@ def validate(profiles: Mapping[QubitBehavior, IntensityProfile],
     density of the same shape; raises ``ValueError`` naming the first one that is not, and
     then the first check whose measured value is not finite (a total that overflows).  A
     feature the profiles do not show, such as a first minimum, is measured as None.
-    ``interference_<b>`` expects fringes when both slit halves reach one ``screen_state``.
+    ``interference_<b>`` expects fringes when the two ``screen_states(b)`` are equal.
     """
     derived = derive(config)
     screen = physics.build_grids(config, derived).screen_positions
@@ -308,9 +308,10 @@ def validate(profiles: Mapping[QubitBehavior, IntensityProfile],
                                       cells * derived.delta_screen))
     for b in (QubitBehavior.NONE, QubitBehavior.FORGETS, QubitBehavior.REMEMBERS):
         inside = sum(abs(x) <= preds.first_minimum for x, _ in peaks[b])
+        e_lower, e_upper = screen_states(b)
         checks.append(CheckResult(
             f"interference_{b.value}", float(inside >= INTERFERENCE_MIN_PEAKS),
-            float(screen_state(b, "lower") == screen_state(b, "upper")), 0.0,
+            float(e_lower == e_upper), 0.0,
             note=f"{inside} peaks inside the central lobe",
         ))
 

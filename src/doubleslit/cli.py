@@ -18,7 +18,7 @@ from typing import Optional
 from .analysis import validate
 from .physics import ConfigError, ExperimentConfig, GeometryMode, SimulationError
 from .propagation import simulate_all
-from .qubit import QubitBehavior, build_mask
+from .qubit import QubitBehavior, TransitionMask
 from .reporting import (CONFIG_FILE_KEYS, read_config_file, write_mask_file,
                         write_profile_csv, write_profile_svg, write_report)
 
@@ -139,7 +139,7 @@ def run(request: RunRequest) -> int:
         if request.masks_dir is not None:
             request.masks_dir.mkdir(parents=True, exist_ok=True)
             for behavior in request.behaviors:
-                mask = build_mask(behavior, MASK_EXPORT_N)
+                mask = TransitionMask(behavior, MASK_EXPORT_N)
                 write_mask_file(mask, request.masks_dir / f"mask_{behavior.value}.txt")
 
         if request.check or request.report_path is not None:

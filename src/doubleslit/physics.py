@@ -56,11 +56,11 @@ def _host_memory() -> float:
         return math.inf
 
 
-# tracemalloc peak of simulate_all per screen position on the Taylor basis (97 bytes at
-# N=64000, which a test holds; the exact basis adds (sqrt(N), 512) tables, 2-3 % of it at the
-# budget) and the most a run may ask for: a run estimated above the host's RAM plus swap
-# cannot finish there, so build_grids refuses it before it allocates and no servable run is lost.
-BYTES_PER_N = 100
+# tracemalloc peak of simulate_all per screen position on the Taylor basis (at N=64000, 97 bytes
+# on the reference window and 112 in the paper geometry, which tests hold; the exact basis adds
+# (sqrt(N), 512) tables, about 2 % at the budget) and the most a run may ask for: a run estimated
+# above the host's RAM plus swap cannot finish there, so build_grids refuses it before it allocates.
+BYTES_PER_N = 120
 MEMORY_BUDGET = _host_memory()
 
 

@@ -20,7 +20,7 @@ as chunked complex matrix products.  One builder picks the basis; both bases sha
 chunk loop and centre phases.  On mirror-image grids (the corrected geometry on a window
 symmetric about 0) S_lower(x) = S_upper(-x), so only the upper slit is summed.  An
 :class:`AmplitudeField` carries the two (N,) sums and a behavior label; :func:`intensity`
-routes each whole sum into one screen qubit state e (:func:`doubleslit.qubit.screen_state`)
+routes each whole sum into one screen qubit state e (:func:`doubleslit.qubit.screen_states`)
 and refuses a non-finite density, so :func:`simulate_all` serves every behavior from one
 :func:`accumulate` by relabelling the field.  ``accumulate``'s ``threads`` is accepted and
 ignored; the matrix products run on BLAS's own threads.
@@ -35,7 +35,7 @@ import numpy as np
 
 from .physics import (DerivedQuantities, ExperimentConfig, Grids, SimulationError, build_grids,
                       derive)
-from .qubit import QubitBehavior, screen_state
+from .qubit import QubitBehavior, screen_states
 
 __all__ = [
     "AmplitudeField",
@@ -214,7 +214,7 @@ def intensity(field: AmplitudeField) -> IntensityProfile:
     density and the lowest qubit state whose amplitude, or its square, is not finite
     there, or the lowest state if only their sum is not.
     """
-    e_lower, e_upper = (screen_state(field.behavior, half) for half in ("lower", "upper"))
+    e_lower, e_upper = screen_states(field.behavior)
     with np.errstate(over="ignore"):
         # (screen qubit state e, its amplitude): one coherent sum, or one state per half
         states = (((e_lower, field.lower + field.upper),) if e_lower == e_upper

@@ -26,7 +26,7 @@ import numpy as np
 
 __all__ = [
     "QubitBehavior",
-    "screen_state",
+    "screen_states",
     "screen_state_weights",
     "TransitionMask",
     "build_mask",
@@ -40,30 +40,19 @@ class QubitBehavior(Enum):
     FORGETS = "forgets"
 
 
-# behavior -> slit half -> the one allowed (wall state e', screen state e)
+# behavior -> the one allowed (wall state e', screen state e) of the lower, then the upper half
 _ROUTES = {
-    QubitBehavior.NONE: {"lower": (1, 1), "upper": (1, 1)},
-    QubitBehavior.REMEMBERS: {"lower": (2, 2), "upper": (1, 1)},
-    QubitBehavior.FORGETS: {"lower": (2, 1), "upper": (1, 1)},
+    QubitBehavior.NONE: ((1, 1), (1, 1)),
+    QubitBehavior.REMEMBERS: ((2, 2), (1, 1)),
+    QubitBehavior.FORGETS: ((2, 1), (1, 1)),
 }
 
 
-def _route(behavior: QubitBehavior, half: str) -> tuple[int, int]:
+def screen_states(behavior: QubitBehavior) -> tuple[int, int]:
+    """(e_lower, e_upper): the screen qubit states that receive each slit half's whole sum."""
     if not isinstance(behavior, QubitBehavior):
         raise TypeError(f"behavior must be a QubitBehavior, got {behavior!r}")
-    if half not in ("lower", "upper"):
-        raise ValueError(f"half must be 'lower' or 'upper', got {half!r}")
-    return _ROUTES[behavior][half]
-
-
-def _validate_n(n: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2 or n % 2 != 0:
-        raise ValueError(f"n must be an even integer >= 2, got {n!r}")
-
-
-def screen_state(behavior: QubitBehavior, half: str) -> int:
-    """Screen qubit state e that receives the whole sum of ``half`` ("lower" or "upper")."""
-    return _route(behavior, half)[1]
+    return tuple(e for _, e in _ROUTES[behavior])
 
 
 def screen_state_weights(behavior: QubitBehavior, n: int) -> np.ndarray:
@@ -71,11 +60,11 @@ def screen_state_weights(behavior: QubitBehavior, n: int) -> np.ndarray:
 
     Exactly one (e', e) is admissible per slit position, so each row sums to 1.
     """
-    _validate_n(n)
+    TransitionMask(behavior, n)     # the behavior's and n's checks
     weights = np.zeros((n, 2))
-    half = n // 2
-    weights[:half, screen_state(behavior, "lower") - 1] = 1.0
-    weights[half:, screen_state(behavior, "upper") - 1] = 1.0
+    e_lower, e_upper = screen_states(behavior)
+    weights[:n // 2, e_lower - 1] = 1.0
+    weights[n // 2:, e_upper - 1] = 1.0
     return weights
 
 
@@ -94,8 +83,10 @@ class TransitionMask:
     n: int
 
     def __post_init__(self) -> None:
-        _route(self.behavior, "lower")   # the behavior's type check
-        _validate_n(self.n)
+        screen_states(self.behavior)    # the behavior's type check
+        n = self.n
+        if not isinstance(n, int) or isinstance(n, bool) or n < 2 or n % 2 != 0:
+            raise ValueError(f"n must be an even integer >= 2, got {n!r}")
 
     def composite_table(self) -> np.ndarray:
         """Dense (2n, 2n) boolean table.
@@ -107,16 +98,14 @@ class TransitionMask:
         n = self.n
         half = n // 2
         table = np.zeros((2 * n, 2 * n), dtype=bool)
-        for k, slit in enumerate(("lower", "upper")):
-            e_prime, e = _route(self.behavior, slit)
+        for k, (e_prime, e) in enumerate(_ROUTES[self.behavior]):
             col = (e_prime - 1) * n + k * half
             table[(e - 1) * n:e * n, col:col + half] = True
         return table
 
 
-def build_mask(behavior: QubitBehavior, n: int) -> TransitionMask:
-    """The :class:`TransitionMask` of ``behavior`` over n slit positions."""
-    return TransitionMask(behavior=behavior, n=n)
+# the name bench/measure.py imports; the package constructs TransitionMask(behavior, n)
+build_mask = TransitionMask
 
 
 def render_mask(mask: TransitionMask) -> str:

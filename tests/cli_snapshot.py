@@ -6,8 +6,9 @@ runs ``python -m doubleslit`` (the package the interpreter finds, so the checkou
 ``PYTHONPATH``) on the runs in ``RUNS``: both screen bases, both geometries, the mirror
 and an asymmetric window, every output kind, JSON and text reports, ``--check``'s exit 2,
 a window too narrow to hold a first minimum, a config whose kernel prefactor float64
-cannot hold (exit 1), and the mirror window at N=2050, whose CSV's 1025-row upper half
-ends one row into a second chunk.  OUTDIR/<run>/ receives the files that run wrote, its
+cannot hold (exit 1), the mirror window at N=2050, whose CSV's 1025-row upper half
+ends one row into a second chunk, and +-1.2 m in the paper geometry at N=2000, whose Taylor
+basis has 46 blocks and sums both slit halves.  OUTDIR/<run>/ receives the files that run wrote, its
 config file if it has one, and its ``stdout``, ``stderr`` and ``exit_code``, so ``diff -r``
 of two snapshots is empty exactly when the two checkouts give the same bytes on every run.
 OUTDIR must not exist.
@@ -47,6 +48,8 @@ RUNS = {
                               ["--csv", "p.csv"]),
     "mirror-2050": ("N = 2050\n", ["--csv", "p.csv", "--svg", "p.svg", "--masks", "masks",
                                    "--report", "report.json"]),
+    "paper-wide-2000": ("N = 2000\nZmin = -1.2\nZmax = 1.2\n",
+                        ["--geometry", "paper", "--csv", "p.csv"]),
 }
 
 

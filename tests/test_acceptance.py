@@ -13,6 +13,8 @@ ch. 4).  c02 compares the pairwise differences of the totals after
 subtracting the predicted G, at 1e-6 relative to the largest total.
 """
 
+import hashlib
+import json
 import math
 import os
 import subprocess
@@ -197,7 +199,7 @@ def test_c08_mask_matches_brute_force():
     n = 4
     ok = True
     for behavior in QubitBehavior:
-        table = ds.build_mask(behavior, n).composite_table()
+        table = ds.TransitionMask(behavior, n).composite_table()
         expected = [[is_allowed(behavior, n, i_prime, e_prime, e)
                      for e_prime in (1, 2) for i_prime in range(1, n + 1)]
                     for e in (1, 2) for _ in range(n)]
@@ -205,10 +207,10 @@ def test_c08_mask_matches_brute_force():
         # one (e', e) per (screen position, slit position) pair
         ok = ok and (table.reshape(2, n, 2, n).sum(axis=(0, 2)) == 1).all()
         # the routing sends each slit half to the one screen state its cells reach
-        for half, i_prime in (("lower", 1), ("upper", n)):
+        for i_prime, e_routed in zip((1, n), ds.screen_states(behavior)):
             reached = {e for e_prime in (1, 2) for e in (1, 2)
                        if is_allowed(behavior, n, i_prime, e_prime, e)}
-            ok = ok and reached == {ds.screen_state(behavior, half)}
+            ok = ok and reached == {e_routed}
     assert criterion(8, "mask equals brute-force enumeration at n=4", ok)
 
 
@@ -224,22 +226,52 @@ def test_c09_parallel_determinism(tmp_path):
                      f"max threads = {max_threads}")
 
 
+# Configs beyond the reference window whose densities c09 holds to the same bits under one
+# BLAS thread: the paper geometry, +-0.6 m in both geometries and +-30 m (the exact basis) at
+# N=2000, and +-1.2 m at N=8000.  +-1 m and +-1.2 m at N=2000 (38 and 46 Taylor blocks) still
+# change bits with BLAS's thread count; ROADMAP item 14's fix adds them here.
+C09_CONFIGS = [
+    {"n_positions": 2000, "geometry_mode": ds.GeometryMode.PAPER_LITERAL},
+    {"n_positions": 2000, "screen_min": -0.6, "screen_max": 0.6},
+    {"n_positions": 2000, "screen_min": -0.6, "screen_max": 0.6,
+     "geometry_mode": ds.GeometryMode.PAPER_LITERAL},
+    {"n_positions": 2000, "screen_min": -30, "screen_max": 30},
+    {"n_positions": 8000, "screen_min": -1.2, "screen_max": 1.2},
+]
+
+
+def density_hashes() -> list[list[str]]:
+    """sha256 of each behavior's density bytes, for each of ``C09_CONFIGS``."""
+    return [[hashlib.sha256(p.density.tobytes()).hexdigest()
+             for p in ds.simulate_all(ds.ExperimentConfig(**kwargs)).values()]
+            for kwargs in C09_CONFIGS]
+
+
 def test_c09_blas_threads_do_not_change_bits(tmp_path):
     # The slit sums are matrix products, so BLAS's own thread count is a
     # second, hidden thread axis; one BLAS thread in a fresh process must give
-    # the bytes of an in-process run, which uses BLAS's default thread count.
+    # the bytes of an in-process run, which uses BLAS's default thread count:
+    # the reference run's CSV, and the densities of C09_CONFIGS, all hashed in one process.
     in_process, single = tmp_path / "in_process.csv", tmp_path / "blas1.csv"
     assert main(["--qubit", "none", "--n", "2000", "--csv", str(in_process)]) == 0
     package_root = str(Path(ds.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [package_root,
+               PYTHONPATH=os.pathsep.join(filter(None, [package_root, str(Path(__file__).parent),
                                                         os.environ.get("PYTHONPATH")])))
     subprocess.run([sys.executable, "-m", "doubleslit", "--qubit", "none", "--n", "2000",
                     "--csv", str(single)], env=env, check=True, timeout=120)
-    ok = single.read_bytes() == in_process.read_bytes()
-    assert criterion(9, "CSV byte-identical for 1 BLAS thread vs the default", ok,
-                     f"OPENBLAS_NUM_THREADS in this process = "
-                     f"{os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}")
+    hashed = subprocess.run(
+        [sys.executable, "-c", "import json, test_acceptance as t; "
+                               "print(json.dumps(t.density_hashes()))"],
+        env=env, check=True, timeout=300, capture_output=True, text=True)
+    differing = [kwargs for kwargs, ours, theirs
+                 in zip(C09_CONFIGS, density_hashes(), json.loads(hashed.stdout))
+                 if ours != theirs]
+    ok = single.read_bytes() == in_process.read_bytes() and not differing
+    assert criterion(9, "CSV and densities byte-identical for 1 BLAS thread vs the default",
+                     ok, f"OPENBLAS_NUM_THREADS in this process = "
+                         f"{os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}, "
+                         f"differing configs = {differing}")
 
 
 def test_c10_mirror_symmetry(profiles_2000):

@@ -331,8 +331,8 @@ class TestRun:
         monkeypatch.setattr(ds.physics, "MEMORY_BUDGET", 64 * ds.physics.BYTES_PER_N - 1)
         code = main(["--n", "64", "--report", str(tmp_path / "R.json")])
         assert code == 1
-        assert capsys.readouterr() == ("", "error: n_positions=64 needs about 6400 bytes "
-                                       "(100 per position), above the budget of 6399 bytes\n")
+        assert capsys.readouterr() == ("", "error: n_positions=64 needs about 7680 bytes "
+                                       "(120 per position), above the budget of 7679 bytes\n")
         assert not (tmp_path / "R.json").exists()
 
     # Extreme values end in an error line before numpy can overflow: no RuntimeWarning.
@@ -455,10 +455,10 @@ def test_cli_snapshot_is_identical_across_processes(tmp_path):
     assert codes == {run: {"check-16": b"2\n", "prefactor-overflow-16": b"1\n"}.get(run, b"0\n")
                      for run in ("ref-all", "large-none", "paper-250", "check-16", "wide-2000",
                                  "asymmetric-2050", "no-minimum-64", "prefactor-overflow-16",
-                                 "mirror-2050")}
+                                 "mirror-2050", "paper-wide-2000")}
     for name in ("ref-all/p_remembers.csv", "ref-all/report.json", "ref-all/masks/mask_none.txt",
                  "check-16/report.txt", "wide-2000/p_forgets.svg", "asymmetric-2050/stdout",
-                 "mirror-2050/p_none.csv"):
+                 "mirror-2050/p_none.csv", "paper-wide-2000/p_remembers.csv"):
         assert first[name], name
     assert first["check-16/stderr"].startswith(b"validation failed: ")
     assert first["prefactor-overflow-16/stderr"].startswith(b"error: kernel prefactor A = ")

@@ -194,9 +194,9 @@ class TestGrids:
         monkeypatch.setattr(ds.physics, "MEMORY_BUDGET", 16 * ds.physics.BYTES_PER_N)
         assert ds.build_grids(cfg, ds.derive(cfg)).screen_positions.size == 16  # at the budget
         monkeypatch.setattr(ds.physics, "MEMORY_BUDGET", 16 * ds.physics.BYTES_PER_N - 1)
-        with pytest.raises(ConfigError, match=r"^n_positions=16 needs about 1600 bytes "
-                                              r"\(100 per position\), above the budget of "
-                                              r"1599 bytes$"):
+        with pytest.raises(ConfigError, match=r"^n_positions=16 needs about 1920 bytes "
+                                              r"\(120 per position\), above the budget of "
+                                              r"1919 bytes$"):
             ds.build_grids(cfg, ds.derive(cfg))
 
     @pytest.mark.skipif(not os.path.exists("/proc/meminfo"), reason="no /proc/meminfo")

@@ -102,7 +102,7 @@ def largest_phase(config):
 
 def routed_states(config, behavior, field):
     """(N, 2) screen-state amplitudes built from ``reference.is_allowed``, not from the
-    package's ``screen_state``:
+    package's ``screen_states``:
     column e-1 adds the field's slit sums whose cells reach screen state e."""
     n = config.n_positions
     weights = allowed_weights(behavior, n)
@@ -133,16 +133,21 @@ class TestAccumulate:
 
     # Every screen point against the long-double reference, at the bounds of the 40-digit
     # oracle: the reference window at N=16, 250 and 2000 in both geometries, +-1 m at
-    # N=2000, where the Taylor basis has 38 blocks, the asymmetric [-0.1, 0.2] m window at
-    # N=2050 and +-30 m, the exact basis, at N=16 and 2000.  The six Taylor-basis configs
-    # are also held to TAYLOR_TOL, about twice their worst error, so a tenfold loss of
-    # accuracy in the Taylor sums fails here although it would pass the oracle's bound.
+    # N=2000, where the Taylor basis has 38 blocks, +-1.2 m at N=2000 in the paper geometry
+    # (46 blocks, both halves summed), +-2 m at N=2000 (75 blocks), the asymmetric
+    # [-0.1, 0.2] m window at N=2050 and +-30 m, the exact basis, at N=16 and 2000.  The
+    # eight Taylor-basis configs are also held to TAYLOR_TOL, about twice their worst error,
+    # so a tenfold loss of accuracy in the Taylor sums fails here although it would pass the
+    # oracle's bound.
     @EXTENDED_LONG_DOUBLE
     @pytest.mark.parametrize("kwargs", [
         {"n_positions": 250}, {"n_positions": 2000},
         {"n_positions": 250, "geometry_mode": ds.GeometryMode.PAPER_LITERAL},
         {"n_positions": 2000, "geometry_mode": ds.GeometryMode.PAPER_LITERAL},
         {"n_positions": 2000, "screen_min": -1, "screen_max": 1},
+        {"n_positions": 2000, "screen_min": -1.2, "screen_max": 1.2,
+         "geometry_mode": ds.GeometryMode.PAPER_LITERAL},
+        {"n_positions": 2000, "screen_min": -2, "screen_max": 2},
         {"n_positions": 16},
         {"n_positions": 16, "geometry_mode": ds.GeometryMode.PAPER_LITERAL},
         {"n_positions": 2050, "screen_min": -0.1, "screen_max": 0.2},
@@ -505,15 +510,19 @@ class TestAccumulate:
         assert_matches_oracle(cfg, np.linspace(0, 1999, 12).astype(int), tol)
 
     @pytest.mark.parametrize("kwargs, n, whole_pipeline, bytes_per_n", [
-        ({}, 64_000, True, ds.physics.BYTES_PER_N),                 # the Taylor basis
+        ({}, 64_000, True, 100),                                    # the Taylor basis
         ({"screen_min": -30, "screen_max": 30}, 2000, False, 718),  # the exact basis
+        ({"geometry_mode": ds.GeometryMode.PAPER_LITERAL}, 64_000, True,
+         ds.physics.BYTES_PER_N),                                   # both halves summed
     ])
     def test_allocation_per_screen_point(self, kwargs, n, whole_pipeline, bytes_per_n):
         # tracemalloc peak per screen point of simulate_all at N=64000 and of accumulate alone
-        # on +-30 m, at most BYTES_PER_N (the Taylor basis's own peak of 97 bytes, rounded up
-        # to the next 10) and what the factored-phase engine before the Taylor basis measured
-        # (718 bytes); an engine that forms an (N, N/2) or an (N/2, TERMS) table fails.
-        # build_grids refuses an N whose BYTES_PER_N * N exceeds its budget.
+        # on +-30 m: at most 100 bytes on the reference window (its own peak of 97, rounded up
+        # to the next 10), BYTES_PER_N in the paper geometry (its peak of 112, the largest of
+        # the Taylor basis, rounded up to the next 10) and what the factored-phase engine
+        # before the Taylor basis measured on +-30 m (718 bytes); an engine that forms an
+        # (N, N/2) or an (N/2, TERMS) table fails.  build_grids refuses an N whose
+        # BYTES_PER_N * N exceeds its budget.
         cfg = ds.ExperimentConfig(n_positions=n, **kwargs)
         derived = ds.derive(cfg)
         grids = ds.build_grids(cfg, derived)

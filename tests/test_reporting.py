@@ -538,7 +538,7 @@ class TestFailedWriteKeepsFile:
 
 class TestMaskFiles:
     def test_file_matches_renderer(self, tmp_path):
-        mask = ds.build_mask(QubitBehavior.FORGETS, 8)
+        mask = ds.TransitionMask(QubitBehavior.FORGETS, 8)
         path = tmp_path / "mask.txt"
         ds.write_mask_file(mask, path)
         assert path.read_text() == ds.render_mask(mask)
